@@ -34,6 +34,7 @@ from .charge import (
     absorption_target,
     build_ensemble,
     capture_photon,
+    capture_photons,
     effective_gate_shift,
 )
 from .simulate import (
@@ -66,7 +67,8 @@ __all__ = [
     "correlate_heights", "detect_steps", "estimate_noise_sigma",
     "fit_exponential", "interval_histogram", "saturation_summary",
     "PhotonSource", "Trap", "TrapConfig", "TrapEnsemble", "absorption_target",
-    "build_ensemble", "capture_photon", "effective_gate_shift",
+    "build_ensemble", "capture_photon", "capture_photons",
+    "effective_gate_shift",
     "ExposureConfig", "Trace", "TruthEvent", "add_telegraph_signal",
     "exposure_to_gate_equivalence", "poisson_event_times", "read_trace",
     "simulate_exposure", "simulate_gate_sweep", "write_trace",

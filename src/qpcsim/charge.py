@@ -14,6 +14,13 @@ couplings (discrete, countable steps) and a dilute background of buffer
 traps far from the channel whose couplings are ~100x smaller, producing
 only a smooth conductance drift.  Which population a photon can reach is
 set by its wavelength (absorption layer).
+
+A run captures its photons in one batched pass (`capture_photons`): one
+O(m) scan for the m empty eligible traps, one generator call for all k
+positions, then k list pops.  The pops move O(m) pointers each, so they
+are the remaining quadratic term, small next to a per-photon rescan.
+The batch draws the same numbers as k one-photon captures, so seeded runs
+do not depend on which of the two is used.
 """
 
 from __future__ import annotations
@@ -183,12 +190,18 @@ def absorption_target(wavelength: float) -> str:
     return LAYER_NONE
 
 
-def capture_photon(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
-                   include_buffer_with_barrier: bool = False) -> Trap | None:
-    """Capture one photo-hole at a uniformly chosen eligible empty trap.
+def capture_photons(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
+                    count: int, include_buffer_with_barrier: bool = False) -> list[Trap]:
+    """Capture up to `count` photo-holes, each at a uniformly chosen empty trap.
 
-    Returns the newly occupied trap, or None once every eligible trap is
-    already filled (saturation of the photoresponse; not an error).
+    Returns the newly occupied traps in capture order; the list is shorter
+    than `count` once every eligible trap is filled (saturation, not an
+    error).  One scan collects the m empty eligible traps, and one call
+    draws all k = min(count, m) positions: the j-th is uniform over the
+    m - j traps still empty.  That broadcast draw consumes the generator
+    exactly like k successive `capture_photon` calls, so batched and
+    one-at-a-time capture give the same traps and leave `rng` in the same
+    state.
     """
     if layer == LAYER_BARRIER:
         kinds = _DOPANT_KINDS + ((BUFFER_MICRO,) if include_buffer_with_barrier else ())
@@ -196,12 +209,40 @@ def capture_photon(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
         kinds = (BUFFER_MICRO,)
     else:
         raise ValueError(f"no capture possible in layer {layer!r}")
-    candidates = ensemble.unoccupied(kinds)
-    if not candidates:
-        return None
-    trap = ensemble.traps[candidates[rng.integers(len(candidates))]]
-    trap.occupied = True
-    return trap
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    free = ensemble.unoccupied(kinds)
+    m = len(free)
+    k = min(count, m)
+    if k == 0:
+        return []
+    captured = []
+    for p in rng.integers(0, np.arange(m, m - k, -1)).tolist():
+        trap = ensemble.traps[free.pop(p)]
+        trap.occupied = True
+        captured.append(trap)
+    return captured
+
+
+def capture_photon(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
+                   include_buffer_with_barrier: bool = False) -> Trap | None:
+    """Capture one photo-hole at a uniformly chosen eligible empty trap.
+
+    Returns the newly occupied trap, or None once every eligible trap is
+    already filled (saturation of the photoresponse; not an error).
+    """
+    captured = capture_photons(ensemble, layer, rng, 1, include_buffer_with_barrier)
+    return captured[0] if captured else None
+
+
+def cumulative_gate_shift(initial: float, couplings) -> np.ndarray:
+    """Gate shift before and after each capture: [initial, initial + c0, ...].
+
+    Couplings are added left to right in capture order (a running sum, not
+    a pairwise reduction), so the last level is bit-for-bit the shift a
+    run accumulated one capture at a time.
+    """
+    return np.cumsum(np.concatenate([[initial], np.asarray(couplings, dtype=float)]))
 
 
 def effective_gate_shift(ensemble: TrapEnsemble) -> float:

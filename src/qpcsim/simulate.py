@@ -25,7 +25,8 @@ from .charge import (
     PhotonSource,
     TrapEnsemble,
     absorption_target,
-    capture_photon,
+    capture_photons,
+    cumulative_gate_shift,
     effective_gate_shift,
 )
 from .transport import GATE_AXIS, TIME_AXIS, ConductanceCurve, DeviceParams, conductance
@@ -78,6 +79,8 @@ class Trace:
         self.conductance = np.asarray(self.conductance, dtype=float)
         if self.times.shape != self.conductance.shape:
             raise ValueError("times and conductance must have the same length")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.conductance))):
+            raise ValueError("trace samples must be finite (no NaN or inf)")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("sample positions must be strictly increasing")
 
@@ -128,27 +131,23 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
     keep = rng.uniform(size=incident.size) < source.quantum_efficiency
     absorbed = incident[keep] if layer != LAYER_NONE else np.empty(0)
 
-    # charge trapped in earlier runs persists: start from the current shift
+    # charge trapped in earlier runs persists: start from the current shift;
+    # the first k absorbed photons fill the k traps, later ones change nothing
     initial_shift = effective_gate_shift(ensemble)
-    events: list[TruthEvent] = []
-    shift = initial_shift
-    for t in absorbed:
-        trap = capture_photon(
-            ensemble, layer, rng,
-            include_buffer_with_barrier=config.barrier_includes_buffer,
-        )
-        if trap is None:
-            continue  # saturated: photon changes nothing
-        shift += trap.coupling
-        events.append(TruthEvent(float(t), trap.coupling, shift))
+    traps = capture_photons(
+        ensemble, layer, rng, absorbed.size,
+        include_buffer_with_barrier=config.barrier_includes_buffer,
+    ) if absorbed.size else []
+    couplings = [trap.coupling for trap in traps]
+    levels = cumulative_gate_shift(initial_shift, couplings)
+    event_times = absorbed[:len(traps)]
+    events = [TruthEvent(float(t), c, float(s))
+              for t, c, s in zip(event_times, couplings, levels[1:])]
 
     times = _sample_times(config)
-    event_times = np.array([e.time for e in events])
-    shift_after = np.array([e.gate_shift_after for e in events])
     idx = np.searchsorted(event_times, times, side="right")
 
     # piecewise-constant signal: evaluate G once per distinct shift level
-    levels = np.concatenate([[initial_shift], shift_after])
     g_levels = np.asarray(conductance(config.gate_bias + levels, device))
     baseline = g_levels[idx]
 
@@ -345,9 +344,8 @@ def trace_from_text(text: str) -> Trace:
     incident = absorbed = 0
     times: list[float] = []
     values: list[float] = []
-    events: list[TruthEvent] | None = None
+    event_rows: list[tuple[float, float]] | None = None
     section = "samples"
-    shift: float | None = None  # starts at the header's initial_gate_shift
 
     for raw in text.splitlines():
         line = raw.strip()
@@ -371,7 +369,7 @@ def trace_from_text(text: str) -> Trace:
             continue
         if line == "events":
             section = "events"
-            events = []
+            event_rows = []
             continue
         if line in ("time_s,conductance_G0", "gate_voltage_V,conductance_G0",
                     "time_s,coupling_V"):
@@ -381,11 +379,14 @@ def trace_from_text(text: str) -> Trace:
             times.append(float(a))
             values.append(float(b))
         else:
-            coupling = float(b)
-            if shift is None:
-                shift = float(config.get("initial_gate_shift", 0.0))
-            shift += coupling
-            events.append(TruthEvent(float(a), coupling, shift))
+            event_rows.append((float(a), float(b)))
+
+    events = None
+    if event_rows is not None:
+        levels = cumulative_gate_shift(
+            float(config.get("initial_gate_shift", 0.0)), [c for _, c in event_rows])
+        events = [TruthEvent(t, c, float(s))
+                  for (t, c), s in zip(event_rows, levels[1:])]
 
     return Trace(axis_kind, np.array(times), np.array(values), events, config,
                  photons_incident=incident, photons_absorbed=absorbed)

@@ -71,6 +71,10 @@ class DeviceParams:
             raise ValueError("mode_spacing must be > 0")
         if self.tunnel_width <= 0:
             raise ValueError("tunnel_width must be > 0")
+        # G must rise monotonically with V for analyze to invert it (the
+        # negated comparison also rejects NaN)
+        if not self.lever_arm > 0:
+            raise ValueError("lever_arm must be > 0")
         if self.num_modes < 1:
             raise ValueError("num_modes must be >= 1")
         if self.anomaly_enabled and not 0.0 < self.anomaly_weight < 1.0:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpcsim.charge import (
     BUFFER_MICRO,
@@ -14,6 +16,8 @@ from qpcsim.charge import (
     absorption_target,
     build_ensemble,
     capture_photon,
+    capture_photons,
+    cumulative_gate_shift,
     effective_gate_shift,
 )
 
@@ -208,3 +212,77 @@ def test_barrier_capture_can_include_buffer_when_enabled():
     trap = capture_photon(ensemble, LAYER_BARRIER, rng,
                           include_buffer_with_barrier=True)
     assert trap is not None and trap.kind == BUFFER_MICRO
+
+
+# ---------------------------------------------------------------------------
+# capture_photons / cumulative_gate_shift
+# ---------------------------------------------------------------------------
+
+def _preoccupied_ensemble(buffer_count, seed, fraction):
+    ensemble = build_ensemble(TrapConfig(buffer_trap_count=buffer_count), seed=seed)
+    filled = np.random.default_rng(seed).random(len(ensemble.traps)) < fraction
+    for trap, full in zip(ensemble.traps, filled):
+        trap.occupied = bool(full)
+    return ensemble
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(buffer_count=0, layer=LAYER_BARRIER, include_buffer=False, fraction=0.0,
+         count=120, seed=9)    # one draw per dopant trap, then saturation
+@example(buffer_count=300, layer=LAYER_BUFFER, include_buffer=False, fraction=0.0,
+         count=301, seed=9)
+@example(buffer_count=5, layer=LAYER_BARRIER, include_buffer=True, fraction=1.0,
+         count=3, seed=2)      # saturated before the first photon
+@given(buffer_count=st.integers(0, 300),
+       layer=st.sampled_from([LAYER_BARRIER, LAYER_BUFFER]),
+       include_buffer=st.booleans(),
+       fraction=st.sampled_from([0.0, 0.3, 0.9]) | st.floats(0.0, 1.0),
+       count=st.integers(0, 420),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_capture_matches_one_at_a_time(buffer_count, layer, include_buffer,
+                                               fraction, count, seed):
+    ens_a = _preoccupied_ensemble(buffer_count, seed, fraction)
+    ens_b = _preoccupied_ensemble(buffer_count, seed, fraction)
+    rng_a = np.random.default_rng(seed + 1)
+    rng_b = np.random.default_rng(seed + 1)
+
+    batched = capture_photons(ens_a, layer, rng_a, count,
+                              include_buffer_with_barrier=include_buffer)
+    single = []
+    for _ in range(count):
+        trap = capture_photon(ens_b, layer, rng_b,
+                              include_buffer_with_barrier=include_buffer)
+        if trap is None:
+            break
+        single.append(trap)
+
+    position_a = {id(t): i for i, t in enumerate(ens_a.traps)}
+    position_b = {id(t): i for i, t in enumerate(ens_b.traps)}
+    assert [position_a[id(t)] for t in batched] == [position_b[id(t)] for t in single]
+    assert [t.occupied for t in ens_a.traps] == [t.occupied for t in ens_b.traps]
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_capture_photons_stops_at_saturation():
+    ensemble = build_ensemble(TrapConfig(buffer_trap_count=10), seed=4)
+    rng = np.random.default_rng(0)
+    traps = capture_photons(ensemble, LAYER_BUFFER, rng, 25)
+    assert len(traps) == 10
+    assert all(t.kind == BUFFER_MICRO and t.occupied for t in traps)
+    assert len({id(t) for t in traps}) == 10
+    assert capture_photons(ensemble, LAYER_BUFFER, rng, 5) == []
+    with pytest.raises(ValueError):
+        capture_photons(ensemble, LAYER_BUFFER, rng, -1)
+    with pytest.raises(ValueError):
+        capture_photons(ensemble, LAYER_NONE, rng, 1)
+
+
+def test_cumulative_gate_shift_is_the_running_sum():
+    couplings = np.random.default_rng(3).exponential(2e-3, 500).tolist()
+    levels = cumulative_gate_shift(0.1, couplings)
+    running = [0.1]
+    for c in couplings:
+        running.append(running[-1] + c)
+    # left to right in capture order, bit for bit
+    assert levels.tolist() == running
+    assert cumulative_gate_shift(0.25, []).tolist() == [0.25]

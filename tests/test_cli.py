@@ -200,6 +200,25 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_nonpositive_lever_arm_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("device.lever_arm=0\n")
+    assert main(["expose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "lever_arm" in capsys.readouterr().err
+
+
+def test_analyze_nan_sample_exits_2(tmp_path, capsys):
+    assert main(["expose", "--out", str(tmp_path), "--duration", "60"]) == 0
+    path = tmp_path / "exposure_trace.csv"
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("0.0,"))
+    lines[row] = "0.0,nan"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", str(path), "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "analysis_report.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # reproduce-figures command
 # ---------------------------------------------------------------------------

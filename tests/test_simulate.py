@@ -7,6 +7,7 @@ from scipy import stats
 from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble
 from qpcsim.simulate import (
     ExposureConfig,
+    Trace,
     add_telegraph_signal,
     device_from_config,
     exposure_to_gate_equivalence,
@@ -16,7 +17,7 @@ from qpcsim.simulate import (
     trace_from_text,
     trace_to_text,
 )
-from qpcsim.transport import GATE_AXIS, conductance, sweep, transconductance
+from qpcsim.transport import GATE_AXIS, TIME_AXIS, conductance, sweep, transconductance
 
 
 def big_ensemble(seed=1):
@@ -295,6 +296,14 @@ def test_pre_occupied_ensemble_roundtrips_with_initial_shift(device):
 def test_device_snapshot_roundtrip(default_exposure, device):
     trace, _ = default_exposure
     assert device_from_config(trace.config) == device
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trace_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Trace(TIME_AXIS, [0.0, 0.5, 1.0], [0.1, bad, 0.2], None)
+    with pytest.raises(ValueError, match="finite"):
+        Trace(TIME_AXIS, [bad], [0.1], None)
 
 
 def test_exposure_config_validation():

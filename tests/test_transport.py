@@ -129,6 +129,13 @@ def test_invalid_device_params_rejected():
         DeviceParams(anomaly_weight=1.5)
 
 
+@pytest.mark.parametrize("lever_arm", [0.0, -64.0, math.nan])
+def test_nonpositive_lever_arm_rejected(lever_arm):
+    # G must rise with V, or analyze cannot invert it
+    with pytest.raises(ValueError, match="lever_arm"):
+        DeviceParams(lever_arm=lever_arm)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
