@@ -15,12 +15,13 @@ traps far from the channel whose couplings are ~100x smaller, producing
 only a smooth conductance drift.  Which population a photon can reach is
 set by its wavelength (absorption layer).
 
-A run captures its photons in one batched pass (`capture_photons`): one
-O(m) scan for the m empty eligible traps, one generator call for all k
-positions, then k list pops.  The pops move O(m) pointers each, so they
-are the remaining quadratic term, small next to a per-photon rescan.
-The batch draws the same numbers as k one-photon captures, so seeded runs
-do not depend on which of the two is used.
+A run captures its photons in one pass over the traps (`capture_photons`):
+one O(m) scan for the m empty eligible traps, then one `capture_photon`
+call per photon that draws from that free list and pops the trap it
+fills.  The pops move O(m) pointers each, so they are the remaining
+quadratic term, small next to a per-photon rescan.  Each draw is the
+same scalar draw over the same ordered list as a rescan would make, so
+seeded runs do not depend on whether the list is shared.
 """
 
 from __future__ import annotations
@@ -190,49 +191,53 @@ def absorption_target(wavelength: float) -> str:
     return LAYER_NONE
 
 
-def capture_photons(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
-                    count: int, include_buffer_with_barrier: bool = False) -> list[Trap]:
-    """Capture up to `count` photo-holes, each at a uniformly chosen empty trap.
-
-    Returns the newly occupied traps in capture order; the list is shorter
-    than `count` once every eligible trap is filled (saturation, not an
-    error).  One scan collects the m empty eligible traps, and one call
-    draws all k = min(count, m) positions: the j-th is uniform over the
-    m - j traps still empty.  That broadcast draw consumes the generator
-    exactly like k successive `capture_photon` calls, so batched and
-    one-at-a-time capture give the same traps and leave `rng` in the same
-    state.
-    """
+def free_traps(ensemble: TrapEnsemble, layer: str,
+               include_buffer_with_barrier: bool = False) -> list[int]:
+    """Indices of the empty traps a photon absorbed in `layer` can fill, in list order."""
     if layer == LAYER_BARRIER:
         kinds = _DOPANT_KINDS + ((BUFFER_MICRO,) if include_buffer_with_barrier else ())
     elif layer == LAYER_BUFFER:
         kinds = (BUFFER_MICRO,)
     else:
         raise ValueError(f"no capture possible in layer {layer!r}")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    free = ensemble.unoccupied(kinds)
-    m = len(free)
-    k = min(count, m)
-    if k == 0:
-        return []
-    captured = []
-    for p in rng.integers(0, np.arange(m, m - k, -1)).tolist():
-        trap = ensemble.traps[free.pop(p)]
-        trap.occupied = True
-        captured.append(trap)
-    return captured
+    return ensemble.unoccupied(kinds)
 
 
 def capture_photon(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
-                   include_buffer_with_barrier: bool = False) -> Trap | None:
+                   include_buffer_with_barrier: bool = False,
+                   free: list[int] | None = None) -> Trap | None:
     """Capture one photo-hole at a uniformly chosen eligible empty trap.
 
     Returns the newly occupied trap, or None once every eligible trap is
     already filled (saturation of the photoresponse; not an error).
+    `free`, from `free_traps`, spares the scan: the trap is drawn from it
+    and removed from it, so it stays exact while only these calls fill
+    traps.
     """
-    captured = capture_photons(ensemble, layer, rng, 1, include_buffer_with_barrier)
-    return captured[0] if captured else None
+    if free is None:
+        free = free_traps(ensemble, layer, include_buffer_with_barrier)
+    if not free:
+        return None
+    trap = ensemble.traps[free.pop(rng.integers(len(free)))]
+    trap.occupied = True
+    return trap
+
+
+def capture_photons(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
+                    count: int, include_buffer_with_barrier: bool = False) -> list[Trap]:
+    """Capture up to `count` photo-holes, each at a uniformly chosen empty trap.
+
+    Returns the newly occupied traps in capture order; the list is shorter
+    than `count` once every eligible trap is filled (saturation, not an
+    error), and no draw is made past that point.  One scan serves every
+    `capture_photon` call; the calls pick the same traps, and leave `rng`
+    in the same state, as calls that each rescan the ensemble.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    free = free_traps(ensemble, layer, include_buffer_with_barrier)
+    return [capture_photon(ensemble, layer, rng, include_buffer_with_barrier, free)
+            for _ in range(min(count, len(free)))]
 
 
 def cumulative_gate_shift(initial: float, couplings) -> np.ndarray:

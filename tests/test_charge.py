@@ -239,8 +239,8 @@ def _preoccupied_ensemble(buffer_count, seed, fraction):
        fraction=st.sampled_from([0.0, 0.3, 0.9]) | st.floats(0.0, 1.0),
        count=st.integers(0, 420),
        seed=st.integers(0, 2**32 - 1))
-def test_batched_capture_matches_one_at_a_time(buffer_count, layer, include_buffer,
-                                               fraction, count, seed):
+def test_batched_capture_matches_rescan_per_photon(buffer_count, layer, include_buffer,
+                                                   fraction, count, seed):
     ens_a = _preoccupied_ensemble(buffer_count, seed, fraction)
     ens_b = _preoccupied_ensemble(buffer_count, seed, fraction)
     rng_a = np.random.default_rng(seed + 1)
@@ -248,19 +248,42 @@ def test_batched_capture_matches_one_at_a_time(buffer_count, layer, include_buff
 
     batched = capture_photons(ens_a, layer, rng_a, count,
                               include_buffer_with_barrier=include_buffer)
+
+    # reference: rescan for the eligible empty traps before every photon and
+    # pick one with a scalar draw over the whole candidate list
+    if layer == LAYER_BARRIER:
+        kinds = (DX_CENTER, NEUTRAL_DONOR) + ((BUFFER_MICRO,) if include_buffer else ())
+    else:
+        kinds = (BUFFER_MICRO,)
+    rescanned = []
+    for _ in range(count):
+        candidates = [i for i, t in enumerate(ens_b.traps)
+                      if not t.occupied and t.kind in kinds]
+        if not candidates:
+            break
+        i = candidates[rng_b.integers(len(candidates))]
+        ens_b.traps[i].occupied = True
+        rescanned.append(i)
+
+    # and one capture_photon call per photon, up to the first None
+    ens_c = _preoccupied_ensemble(buffer_count, seed, fraction)
+    rng_c = np.random.default_rng(seed + 1)
     single = []
     for _ in range(count):
-        trap = capture_photon(ens_b, layer, rng_b,
-                              include_buffer_with_barrier=include_buffer)
+        trap = capture_photon(ens_c, layer, rng_c, include_buffer_with_barrier=include_buffer)
         if trap is None:
             break
         single.append(trap)
 
     position_a = {id(t): i for i, t in enumerate(ens_a.traps)}
-    position_b = {id(t): i for i, t in enumerate(ens_b.traps)}
-    assert [position_a[id(t)] for t in batched] == [position_b[id(t)] for t in single]
-    assert [t.occupied for t in ens_a.traps] == [t.occupied for t in ens_b.traps]
+    position_c = {id(t): i for i, t in enumerate(ens_c.traps)}
+    assert [position_a[id(t)] for t in batched] == rescanned
+    assert [position_c[id(t)] for t in single] == rescanned
+    occupancy = [t.occupied for t in ens_b.traps]
+    assert [t.occupied for t in ens_a.traps] == occupancy
+    assert [t.occupied for t in ens_c.traps] == occupancy
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert rng_c.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_capture_photons_stops_at_saturation():
