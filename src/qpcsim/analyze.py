@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .simulate import Trace
+from .simulate import Trace, csv_text
 from .transport import TIME_AXIS, DeviceParams, conductance, transconductance
 
 DEFAULT_WINDOW = 12
@@ -142,12 +142,24 @@ def interval_histogram(events: list[StepEvent], bin_width: float):
         raise ValueError("need at least 2 events for an interval histogram")
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
-    times = np.array([e.time for e in events])
-    intervals = np.diff(times)
+    intervals = np.diff([e.time for e in events])
     bins = np.floor(intervals / bin_width).astype(int)
     counts = np.bincount(bins)
     starts = np.arange(counts.size) * bin_width
     return starts, counts
+
+
+def interval_statistics(events, bin_width: float | None = None):
+    """Exponential fit and histogram of the intervals between successive events.
+
+    `events` are anything with a `.time` (detected steps or truth events).
+    The histogram bin defaults to a third of the fitted mean interval.
+    Returns (fit, (bin starts, counts)), or (None, ()) below three events.
+    """
+    if len(events) < 3:
+        return None, ()
+    fit = fit_exponential(np.diff([e.time for e in events]))
+    return fit, interval_histogram(events, bin_width or fit.mean_interval / 3.0)
 
 
 def fit_exponential(intervals) -> IntervalFit:
@@ -311,14 +323,7 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
             ) from exc
     steps = detect_steps(trace, window=window, threshold=threshold)
 
-    fit = None
-    histogram: tuple = ()
-    if len(steps) >= 3:
-        intervals = np.diff([s.time for s in steps])
-        fit = fit_exponential(intervals)
-        width = bin_width if bin_width else fit.mean_interval / 3.0
-        histogram = interval_histogram(steps, width)
-
+    fit, histogram = interval_statistics(steps, bin_width)
     if len(steps) >= 3:
         r, implied, trans = correlate_heights(steps, trace, device, window=window)
         status = "undefined" if math.isnan(r) else "ok"
@@ -341,50 +346,25 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
 # [saturation] sections with fixed column order.
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def report_to_text(report: AnalysisReport) -> str:
-    lines = [
-        "# qpcsim analysis report v1",
-        f"# window={report.window}",
-        f"# threshold={_fmt(float(report.threshold))}",
-    ]
-    lines.append("[steps]")
-    lines.append("time_s,height_G0,confidence,transconductance_G0_per_V,implied_coupling_V")
-    for s, g, c in zip(report.steps, report.transconductances,
-                       report.implied_couplings):
-        lines.append(f"{_fmt(s.time)},{_fmt(s.height)},{_fmt(s.confidence)},"
-                     f"{_fmt(float(g))},{_fmt(float(c))}")
-    lines.append("[intervals]")
-    lines.append("bin_start_s,count")
-    if report.histogram:
-        for start, count in zip(*report.histogram):
-            lines.append(f"{_fmt(float(start))},{int(count)}")
-    lines.append("[fit]")
-    lines.append("event_count,mean_interval_s,rate_per_s,ks_statistic")
-    if report.interval_fit is not None:
-        f = report.interval_fit
-        lines.append(f"{f.event_count},{_fmt(f.mean_interval)},{_fmt(f.rate)},"
-                     f"{_fmt(f.ks_statistic)}")
-    lines.append("[correlation]")
-    lines.append("pearson_r,n_used,mean_implied_coupling_V,status")
     valid = [c for c in report.implied_couplings if not math.isnan(c)]
     mean_implied = float(np.mean(valid)) if valid else math.nan
-    lines.append(f"{_fmt(float(report.height_correlation))},{len(valid)},"
-                 f"{_fmt(mean_implied)},{report.correlation_status}")
-    lines.append("[saturation]")
-    lines.append("saturation_detected,step_count,total_rise_G0")
-    lines.append(f"{_fmt(report.saturation_detected)},{len(report.steps)},"
-                 f"{_fmt(report.total_conductance_rise)}")
-    return "\n".join(lines) + "\n"
-
-
-def write_report(report: AnalysisReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_to_text(report))
+    fit = report.interval_fit
+    return csv_text(
+        "qpcsim analysis report v1",
+        {"window": report.window, "threshold": float(report.threshold)},
+        ("[steps]",
+         "time_s,height_G0,confidence,transconductance_G0_per_V,implied_coupling_V",
+         ((s.time, s.height, s.confidence, g, c) for s, g, c in
+          zip(report.steps, report.transconductances, report.implied_couplings))),
+        ("[intervals]", "bin_start_s,count", zip(*report.histogram)),
+        ("[fit]", "event_count,mean_interval_s,rate_per_s,ks_statistic",
+         [] if fit is None else
+         [(fit.event_count, fit.mean_interval, fit.rate, fit.ks_statistic)]),
+        ("[correlation]", "pearson_r,n_used,mean_implied_coupling_V,status",
+         [(report.height_correlation, len(valid), mean_implied,
+           report.correlation_status)]),
+        ("[saturation]", "saturation_detected,step_count,total_rise_G0",
+         [(report.saturation_detected, len(report.steps),
+           report.total_conductance_rise)]),
+    )

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .transport import require_finite
+
 # Elementary charge, coulombs.
 E_CHARGE = 1.602176634e-19
 
@@ -69,6 +71,7 @@ class TrapConfig:
     buffer_coupling_scale: float = 1e-5      # V, upper bound of buffer couplings
 
     def __post_init__(self):
+        require_finite(self)
         if self.dopant_trap_count <= 0:
             raise ValueError("dopant trap count must be > 0")
         if self.saturation_gate_shift <= 0:
@@ -104,6 +107,7 @@ class PhotonSource:
     quantum_efficiency: float = 0.3
 
     def __post_init__(self):
+        require_finite(self)
         if self.wavelength <= 0:
             raise ValueError("wavelength must be > 0")
         if self.incident_rate < 0:

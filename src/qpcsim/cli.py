@@ -22,14 +22,14 @@ import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from .analyze import analyze_trace, fit_exponential, report_to_text
+from .analyze import analyze_trace, interval_statistics, report_to_text
 from .charge import PhotonSource, TrapConfig, build_ensemble
 from .simulate import (
     ExposureConfig,
     Trace,
+    csv_text,
     exposure_to_gate_equivalence,
+    fmt,
     read_trace,
     simulate_exposure,
     simulate_gate_sweep,
@@ -138,27 +138,24 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: {key!r} is derived from the master seed")
         section_values[prefix][name] = _coerce(value, hints[prefix][name])
 
-    try:
-        built = {name: cls(**section_values[name]) for name, cls in _SECTIONS.items()}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    built = {}
+    for name, cls in _SECTIONS.items():
+        try:
+            built[name] = cls(**section_values[name])
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     return RunConfig(device=built["device"], traps=built["traps"],
                      source=built["source"], exposure=built["exposure"],
                      seed=seed, **analysis)
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    lines = [f"seed={cfg.seed}",
-             f"analysis.window={cfg.window}",
-             f"analysis.threshold={_fmt(cfg.threshold)}",
-             f"analysis.bin_width={_fmt(cfg.bin_width)}"]
-    for name, cls in _SECTIONS.items():
-        obj = getattr(cfg, name)
-        for f in fields(cls):
-            if (name, f.name) in _HIDDEN:
-                continue
-            lines.append(f"{name}.{f.name}={_fmt(getattr(obj, f.name))}")
-    return "\n".join(lines) + "\n"
+    items = [("seed", cfg.seed)]
+    items += [(f"analysis.{key}", getattr(cfg, key)) for key in _ANALYSIS_KEYS]
+    items += [(f"{name}.{f.name}", getattr(getattr(cfg, name), f.name))
+              for name, cls in _SECTIONS.items() for f in fields(cls)
+              if (name, f.name) not in _HIDDEN]
+    return "".join(f"{key}={fmt(value)}\n" for key, value in items)
 
 
 def load_config(path) -> RunConfig:
@@ -167,14 +164,6 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(text)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +183,6 @@ def _atomic_write(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def _curve_text(curve: ConductanceCurve, value_label: str, header: dict) -> str:
-    lines = ["# qpcsim curve v1", f"# axis={curve.axis_kind}"]
-    lines += [f"# {k}={_fmt(v)}" for k, v in header.items()]
-    axis_label = "gate_voltage_V" if curve.axis_kind == "gate-voltage" else "time_s"
-    lines.append(f"{axis_label},{value_label}")
-    lines += [f"{_fmt(float(a))},{_fmt(float(g))}"
-              for a, g in zip(curve.axis, curve.conductance)]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +208,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, v_start: float | None,
             ConductanceCurve(GATE_AXIS, trace.times, trace.conductance)
         )
         dgdv_path = out_dir / "sweep_differential.csv"
-        _atomic_write(dgdv_path, _curve_text(dgdv, "dG_dVg_G0_per_V",
-                                             {"n_points": n_points,
-                                              "noise_sigma": sigma}))
+        _atomic_write(dgdv_path, csv_text(
+            "qpcsim curve v1",
+            {"axis": GATE_AXIS, "n_points": n_points, "noise_sigma": sigma},
+            (None, "gate_voltage_V,dG_dVg_G0_per_V", zip(dgdv.axis, dgdv.conductance))))
         written.append(dgdv_path)
     return written
 
@@ -285,52 +265,38 @@ def cmd_reproduce_figures(cfg: RunConfig, out_dir: Path,
     trace = _run_exposure(cfg, None, None, noise_sigma)
     remap = exposure_to_gate_equivalence(trace, device)
 
-    overlay = ["# qpcsim figure: gate-driven vs photo-driven conductance",
-               "series,gate_voltage_V,conductance_G0"]
-    overlay += [f"gate_sweep,{_fmt(float(v))},{_fmt(float(g))}"
-                for v, g in zip(gate_curve.axis, gate_curve.conductance)]
-    overlay += [f"photo_remap,{_fmt(float(v))},{_fmt(float(g))}"
-                for v, g in zip(remap.axis, remap.conductance)]
     overlay_path = out_dir / "overlay_gate_photo.csv"
-    _atomic_write(overlay_path, "\n".join(overlay) + "\n")
+    _atomic_write(overlay_path, csv_text(
+        "qpcsim figure: gate-driven vs photo-driven conductance", {},
+        (None, "series,gate_voltage_V,conductance_G0",
+         [("gate_sweep", v, g) for v, g in zip(gate_curve.axis, gate_curve.conductance)]
+         + [("photo_remap", v, g) for v, g in zip(remap.axis, remap.conductance)])))
 
     report = analyze_trace(trace, device=device, window=cfg.window,
                            threshold=cfg.threshold,
                            bin_width=cfg.bin_width or None)
-    corr = ["# qpcsim figure: step height vs model transconductance",
-            "[transconductance]", "gate_voltage_V,dG_dVg_G0_per_V"]
-    dgdv = transconductance(gate_curve.axis, device)
-    corr += [f"{_fmt(float(v))},{_fmt(float(g))}"
-             for v, g in zip(gate_curve.axis, dgdv)]
-    corr += ["[steps]", "time_s,height_G0,transconductance_G0_per_V"]
-    corr += [f"{_fmt(s.time)},{_fmt(s.height)},{_fmt(float(g))}"
-             for s, g in zip(report.steps, report.transconductances)]
     corr_path = out_dir / "step_heights_vs_transconductance.csv"
-    _atomic_write(corr_path, "\n".join(corr) + "\n")
+    _atomic_write(corr_path, csv_text(
+        "qpcsim figure: step height vs model transconductance", {},
+        ("[transconductance]", "gate_voltage_V,dG_dVg_G0_per_V",
+         zip(gate_curve.axis, transconductance(gate_curve.axis, device))),
+        ("[steps]", "time_s,height_G0,transconductance_G0_per_V",
+         ((s.time, s.height, g) for s, g in zip(report.steps, report.transconductances)))))
 
     # interval statistics from the run's event log (model ground truth);
     # the detector's version of the same quantities lives in the report
-    hist_lines = ["# qpcsim figure: photon inter-arrival histogram"]
+    header = {}
     configured = cfg.source.incident_rate * cfg.source.quantum_efficiency
     if configured > 0:
-        hist_lines.append(f"# configured_mean_interval_s={_fmt(1.0 / configured)}")
-    events = trace.truth_events or []
-    if len(events) >= 3:
-        intervals = np.diff([e.time for e in events])
-        fit = fit_exponential(intervals)
-        width = cfg.bin_width or fit.mean_interval / 3.0
-        edges = np.floor(intervals / width).astype(int)
-        counts = np.bincount(edges)
-        hist_lines += [f"# fit_mean_interval_s={_fmt(fit.mean_interval)}",
-                       f"# fit_rate_per_s={_fmt(fit.rate)}",
-                       f"# ks_statistic={_fmt(fit.ks_statistic)}",
-                       "bin_start_s,count"]
-        hist_lines += [f"{_fmt(float(i * width))},{int(c)}"
-                       for i, c in enumerate(counts)]
-    else:
-        hist_lines += ["bin_start_s,count"]
+        header["configured_mean_interval_s"] = 1.0 / configured
+    fit, histogram = interval_statistics(trace.truth_events or [], cfg.bin_width or None)
+    if fit is not None:
+        header.update(fit_mean_interval_s=fit.mean_interval, fit_rate_per_s=fit.rate,
+                      ks_statistic=fit.ks_statistic)
     hist_path = out_dir / "photon_interval_histogram.csv"
-    _atomic_write(hist_path, "\n".join(hist_lines) + "\n")
+    _atomic_write(hist_path, csv_text(
+        "qpcsim figure: photon inter-arrival histogram", header,
+        (None, "bin_start_s,count", zip(*histogram))))
     return [overlay_path, corr_path, hist_path]
 
 

@@ -16,7 +16,8 @@ shortest round-trip repr).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +30,19 @@ from .charge import (
     cumulative_gate_shift,
     effective_gate_shift,
 )
-from .transport import GATE_AXIS, TIME_AXIS, ConductanceCurve, DeviceParams, conductance
+from .transport import (
+    GATE_AXIS,
+    TIME_AXIS,
+    ConductanceCurve,
+    DeviceParams,
+    conductance,
+    require_finite,
+    sweep,
+)
+
+# Most samples an exposure may ask for: each costs several float64 arrays
+# and a row of text, so ~10^7 (58 days at the default 0.5 s) is the limit.
+MAX_EXPOSURE_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -43,12 +56,16 @@ class ExposureConfig:
     barrier_includes_buffer: bool = False  # also fill buffer traps at short wavelength
 
     def __post_init__(self):
+        require_finite(self)
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be > 0")
         if self.dark_lead < 0:
             raise ValueError("dark_lead must be >= 0")
+        if (self.dark_lead + self.duration) / self.sample_interval > MAX_EXPOSURE_SAMPLES:
+            raise ValueError("(dark_lead + duration) / sample_interval must be "
+                             f"<= {MAX_EXPOSURE_SAMPLES} samples")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -155,21 +172,8 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
     if config.noise_sigma > 0:
         samples = baseline + rng.normal(0.0, config.noise_sigma, times.size)
 
-    cfg = {
-        "kind": "exposure",
-        "gate_bias": config.gate_bias,
-        "initial_gate_shift": initial_shift,
-        "duration": config.duration,
-        "sample_interval": config.sample_interval,
-        "dark_lead": config.dark_lead,
-        "noise_sigma": config.noise_sigma,
-        "seed": config.seed,
-        "barrier_includes_buffer": config.barrier_includes_buffer,
-        "wavelength": source.wavelength,
-        "incident_rate": source.incident_rate,
-        "quantum_efficiency": source.quantum_efficiency,
-    }
-    cfg.update(_device_snapshot(device))
+    cfg = {"kind": "exposure", "initial_gate_shift": initial_shift,
+           **asdict(config), **asdict(source), **_device_snapshot(device)}
     return Trace(TIME_AXIS, times, samples, events, cfg,
                  photons_incident=int(incident.size),
                  photons_absorbed=int(absorbed.size))
@@ -179,17 +183,13 @@ def simulate_gate_sweep(device: DeviceParams, v_start: float, v_end: float,
                         n_points: int, noise_sigma: float = 0.0,
                         seed: int = 0) -> Trace:
     """Gate sweep with additive Gaussian noise; noiseless equals the model curve."""
-    if not v_start < v_end:
-        raise ValueError("v_start must be < v_end")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    curve = sweep(v_start, v_end, n_points, device)
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    v = np.linspace(v_start, v_end, n_points)
-    g = np.asarray(conductance(v, device))
+    g = curve.conductance
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        g = g + rng.normal(0.0, noise_sigma, v.size)
+        g = g + rng.normal(0.0, noise_sigma, g.size)
     cfg = {
         "kind": "sweep",
         "v_start": v_start,
@@ -199,7 +199,7 @@ def simulate_gate_sweep(device: DeviceParams, v_start: float, v_end: float,
         "seed": seed,
     }
     cfg.update(_device_snapshot(device))
-    return Trace(GATE_AXIS, v, g, None, cfg)
+    return Trace(GATE_AXIS, curve.axis, g, None, cfg)
 
 
 def exposure_to_gate_equivalence(trace: Trace,
@@ -257,53 +257,55 @@ def add_telegraph_signal(trace: Trace, amplitude: float = 0.02,
 
 
 def _device_snapshot(device: DeviceParams) -> dict:
-    return {
-        "device_fermi_energy": device.fermi_energy,
-        "device_temperature": device.temperature,
-        "device_mode_spacing": device.mode_spacing,
-        "device_tunnel_width": device.tunnel_width,
-        "device_lever_arm": device.lever_arm,
-        "device_threshold_voltage": device.threshold_voltage,
-        "device_num_modes": device.num_modes,
-        "device_anomaly_enabled": device.anomaly_enabled,
-        "device_anomaly_weight": device.anomaly_weight,
-        "device_anomaly_split": device.anomaly_split,
-        "device_source_drain_bias": device.source_drain_bias,
-    }
+    return {f"device_{f.name}": getattr(device, f.name) for f in fields(DeviceParams)}
 
 
 def device_from_config(config: dict) -> DeviceParams:
     """Rebuild DeviceParams from a trace-header snapshot."""
-    return DeviceParams(
-        fermi_energy=float(config["device_fermi_energy"]),
-        temperature=float(config["device_temperature"]),
-        mode_spacing=float(config["device_mode_spacing"]),
-        tunnel_width=float(config["device_tunnel_width"]),
-        lever_arm=float(config["device_lever_arm"]),
-        threshold_voltage=float(config["device_threshold_voltage"]),
-        num_modes=int(config["device_num_modes"]),
-        anomaly_enabled=bool(config["device_anomaly_enabled"]),
-        anomaly_weight=float(config["device_anomaly_weight"]),
-        anomaly_split=float(config["device_anomaly_split"]),
-        source_drain_bias=float(config["device_source_drain_bias"]),
-    )
+    types = typing.get_type_hints(DeviceParams)
+    return DeviceParams(**{f.name: types[f.name](config[f"device_{f.name}"])
+                           for f in fields(DeviceParams)})
 
 
 # ---------------------------------------------------------------------------
-# Trace file format: '#'-prefixed key=value header, a column-labelled sample
-# table, then (for runs with an event log) an 'events' table.  Floats use
-# repr, so read(write(trace)) is bit-exact.
+# File format shared by traces, curves, reports and figures: a '# title'
+# line, '#'-prefixed key=value header lines, then one or more CSV tables,
+# each optionally preceded by a title line.  Floats use shortest round-trip
+# repr, so read(write(trace)) is bit-exact.  A trace has a column-labelled
+# sample table, then (for runs with an event log) an 'events' table.
 # ---------------------------------------------------------------------------
 
 _AXIS_COLUMN = {TIME_AXIS: "time_s", GATE_AXIS: "gate_voltage_V"}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
+def fmt(value) -> str:
+    """One header value or CSV field: true/false, float repr, else str.
+
+    numpy floats are written as the Python float they hold.  Plain floats,
+    nearly every field of a trace, take the first test.
+    """
+    if type(value) is float:
         return repr(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, np.floating):
+        return repr(float(value))
     return str(value)
+
+
+def csv_text(title: str, header: dict, *tables) -> str:
+    """File text: '# title', '# key=value' per header item, then the tables.
+
+    Each table is (title line or None, column line, rows); every field of a
+    row goes through `fmt`.
+    """
+    lines = [f"# {title}"] + [f"# {key}={fmt(value)}" for key, value in header.items()]
+    for table_title, columns, rows in tables:
+        if table_title is not None:
+            lines.append(table_title)
+        lines.append(columns)
+        lines += [",".join(map(fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_value(text: str):
@@ -322,20 +324,16 @@ def _parse_value(text: str):
 
 
 def trace_to_text(trace: Trace) -> str:
-    lines = ["# qpcsim trace v1", f"# axis={trace.axis_kind}"]
-    for key in sorted(trace.config):
-        lines.append(f"# {key}={_fmt(trace.config[key])}")
-    lines.append(f"# photons_incident={trace.photons_incident}")
-    lines.append(f"# photons_absorbed={trace.photons_absorbed}")
-    lines.append(f"{_AXIS_COLUMN[trace.axis_kind]},conductance_G0")
-    for t, g in zip(trace.times, trace.conductance):
-        lines.append(f"{_fmt(float(t))},{_fmt(float(g))}")
+    header = {"axis": trace.axis_kind}
+    header.update((key, trace.config[key]) for key in sorted(trace.config))
+    header.update(photons_incident=trace.photons_incident,
+                  photons_absorbed=trace.photons_absorbed)
+    tables = [(None, f"{_AXIS_COLUMN[trace.axis_kind]},conductance_G0",
+               zip(trace.times.tolist(), trace.conductance.tolist()))]
     if trace.truth_events is not None:
-        lines.append("events")
-        lines.append("time_s,coupling_V")
-        for e in trace.truth_events:
-            lines.append(f"{_fmt(e.time)},{_fmt(e.coupling)}")
-    return "\n".join(lines) + "\n"
+        tables.append(("events", "time_s,coupling_V",
+                       ((e.time, e.coupling) for e in trace.truth_events)))
+    return csv_text("qpcsim trace v1", header, *tables)
 
 
 def trace_from_text(text: str) -> Trace:

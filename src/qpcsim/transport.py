@@ -15,7 +15,8 @@ energy; no microscopic spin-interaction physics is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -43,6 +44,14 @@ GATE_AXIS = "gate-voltage"
 TIME_AXIS = "exposure-time"
 
 
+def require_finite(config) -> None:
+    """Reject NaN or inf in any float field of a config dataclass, by name."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Transport constants of the point-contact channel.
@@ -65,15 +74,15 @@ class DeviceParams:
     source_drain_bias: float = 0.5   # mV; recorded only, transport is linear response
 
     def __post_init__(self):
+        require_finite(self)
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.mode_spacing <= 0:
             raise ValueError("mode_spacing must be > 0")
         if self.tunnel_width <= 0:
             raise ValueError("tunnel_width must be > 0")
-        # G must rise monotonically with V for analyze to invert it (the
-        # negated comparison also rejects NaN)
-        if not self.lever_arm > 0:
+        # G must rise monotonically with V for analyze to invert it
+        if self.lever_arm <= 0:
             raise ValueError("lever_arm must be > 0")
         if self.num_modes < 1:
             raise ValueError("num_modes must be >= 1")
@@ -177,14 +186,12 @@ def mode_transmission(energy, mode_index: int, params: DeviceParams,
     return t
 
 
-def conductance(effective_gate_voltage, params: DeviceParams,
-                quad_order: int = QUAD_ORDER) -> np.ndarray | float:
-    """Linear-response conductance (units of 2e^2/h) at a gate voltage.
+def _mode_sum(effective_gate_voltage, params: DeviceParams, quad_order: int,
+              response) -> np.ndarray | float:
+    """Sum over modes of response(transmission), averaged over the thermal window.
 
-    Sum over modes of the transmission averaged against the normalized
-    thermal kernel (-df/dE) over E_F +- 10 k_B T.  When the shoulder model
-    is enabled, mode 0 is the weighted mixture of two logistic components
-    offset by anomaly_split.  Accepts scalars or arrays.
+    When the shoulder model is enabled, mode 0 contributes the weighted
+    mixture of its two logistic components offset by anomaly_split.
     """
     scalar_in = np.isscalar(effective_gate_voltage)
     v = np.atleast_1d(np.asarray(effective_gate_voltage, dtype=float))
@@ -193,17 +200,26 @@ def conductance(effective_gate_voltage, params: DeviceParams,
     total = np.zeros(v.shape)
     for n in range(params.num_modes):
         eps = np.asarray(params.subband_bottom(n, v))[..., None]
-        t = _logistic_transmission(energies[None, :], eps, params.tunnel_width)
+        r = response(_logistic_transmission(energies[None, :], eps, params.tunnel_width))
         if n == 0 and params.anomaly_enabled:
-            t_late = _logistic_transmission(
-                energies[None, :], eps + params.anomaly_split, params.tunnel_width
-            )
-            t = params.anomaly_weight * t + (1.0 - params.anomaly_weight) * t_late
+            r_late = response(_logistic_transmission(
+                energies[None, :], eps + params.anomaly_split, params.tunnel_width))
+            r = params.anomaly_weight * r + (1.0 - params.anomaly_weight) * r_late
         # Row by row, not a BLAS matrix-vector product, which rounds with the
         # number of rows; conductance(v)[i] must equal conductance(v[i]).
-        t *= kernel
-        total += t.sum(axis=-1)
+        r *= kernel
+        total += r.sum(axis=-1)
     return float(total[0]) if scalar_in else total
+
+
+def conductance(effective_gate_voltage, params: DeviceParams,
+                quad_order: int = QUAD_ORDER) -> np.ndarray | float:
+    """Linear-response conductance (units of 2e^2/h) at a gate voltage.
+
+    Sum over modes of the transmission averaged against the normalized
+    thermal kernel (-df/dE) over E_F +- 10 k_B T.  Accepts scalars or arrays.
+    """
+    return _mode_sum(effective_gate_voltage, params, quad_order, lambda t: t)
 
 
 def transconductance(effective_gate_voltage, params: DeviceParams,
@@ -214,26 +230,9 @@ def transconductance(effective_gate_voltage, params: DeviceParams,
     by `conductance`, so it is consistent with finite differences of G to
     the quadrature accuracy.
     """
-    scalar_in = np.isscalar(effective_gate_voltage)
-    v = np.atleast_1d(np.asarray(effective_gate_voltage, dtype=float))
-    energies, kernel = _thermal_kernel(params, quad_order)
     slope = 2.0 * np.pi / params.tunnel_width * params.lever_arm
-
-    total = np.zeros(v.shape)
-    for n in range(params.num_modes):
-        eps = np.asarray(params.subband_bottom(n, v))[..., None]
-        t = _logistic_transmission(energies[None, :], eps, params.tunnel_width)
-        dt = slope * t * (1.0 - t)
-        if n == 0 and params.anomaly_enabled:
-            t_late = _logistic_transmission(
-                energies[None, :], eps + params.anomaly_split, params.tunnel_width
-            )
-            dt = params.anomaly_weight * dt + (1.0 - params.anomaly_weight) * (
-                slope * t_late * (1.0 - t_late)
-            )
-        dt *= kernel
-        total += dt.sum(axis=-1)   # batch-invariant, as in conductance
-    return float(total[0]) if scalar_in else total
+    return _mode_sum(effective_gate_voltage, params, quad_order,
+                     lambda t: slope * t * (1.0 - t))
 
 
 def sweep(v_start: float, v_end: float, n_points: int,

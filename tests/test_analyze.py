@@ -12,11 +12,18 @@ from qpcsim.analyze import (
     estimate_noise_sigma,
     fit_exponential,
     interval_histogram,
+    interval_statistics,
     report_to_text,
     saturation_summary,
 )
 from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble
-from qpcsim.simulate import ExposureConfig, Trace, add_telegraph_signal, simulate_exposure
+from qpcsim.simulate import (
+    ExposureConfig,
+    Trace,
+    TruthEvent,
+    add_telegraph_signal,
+    simulate_exposure,
+)
 from qpcsim.transport import TIME_AXIS
 
 
@@ -400,3 +407,17 @@ def test_report_on_dark_trace_marks_insufficient_events(device):
     assert math.isnan(report.height_correlation)
     assert report.correlation_status == "insufficient events"
     assert report.saturation_detected  # flat signal: already at its asymptote
+
+
+def test_interval_statistics_is_the_fit_plus_its_histogram():
+    steps = [StepEvent(t, 0.1, 9.0) for t in (0.0, 4.0, 10.0, 11.0, 30.0)]
+    assert interval_statistics(steps[:2]) == (None, ())
+    fit, (starts, counts) = interval_statistics(steps)
+    assert fit == fit_exponential([4.0, 6.0, 1.0, 19.0])
+    auto_starts, auto_counts = interval_histogram(steps, fit.mean_interval / 3.0)
+    assert np.array_equal(starts, auto_starts) and np.array_equal(counts, auto_counts)
+    _, (starts, counts) = interval_statistics(steps, bin_width=5.0)
+    assert starts.tolist() == [0.0, 5.0, 10.0, 15.0] and counts.tolist() == [2, 1, 0, 1]
+    # truth events carry a .time too
+    truth = [TruthEvent(s.time, 0.002, 0.0) for s in steps]
+    assert interval_statistics(truth, 5.0)[0] == fit

@@ -261,3 +261,22 @@ def test_figures_rerun_byte_identical(tmp_path):
     for name in ("overlay_gate_photo.csv", "step_heights_vs_transconductance.csv",
                  "photon_interval_histogram.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("line", ["device.temperature=nan", "exposure.duration=inf",
+                                  "exposure.sample_interval=1e-12"])
+def test_non_finite_or_oversized_config_exits_2(tmp_path, capsys, line):
+    # each used to get past the config: an all-NaN trace, an OverflowError
+    # (exit 1) in the photon draw, a failed multi-petabyte allocation
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["expose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    section, _, name = line.partition("=")[0].partition(".")
+    assert "config error" in err and f"{section}: " in err and name in err
+    assert not (tmp_path / "exposure_trace.csv").exists()
+
+
+def test_non_finite_flag_exits_2(tmp_path, capsys):
+    assert main(["expose", "--out", str(tmp_path), "--duration", "inf"]) == 2
+    assert "duration must be finite" in capsys.readouterr().err

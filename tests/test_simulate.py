@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy import stats
 
 from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble
 from qpcsim.simulate import (
+    MAX_EXPOSURE_SAMPLES,
     ExposureConfig,
     Trace,
     add_telegraph_signal,
@@ -17,7 +19,14 @@ from qpcsim.simulate import (
     trace_from_text,
     trace_to_text,
 )
-from qpcsim.transport import GATE_AXIS, TIME_AXIS, conductance, sweep, transconductance
+from qpcsim.transport import (
+    GATE_AXIS,
+    TIME_AXIS,
+    DeviceParams,
+    conductance,
+    sweep,
+    transconductance,
+)
 
 
 def big_ensemble(seed=1):
@@ -313,3 +322,22 @@ def test_exposure_config_validation():
         ExposureConfig(sample_interval=0.0)
     with pytest.raises(ValueError):
         ExposureConfig(noise_sigma=-1.0)
+
+
+@pytest.mark.parametrize("cls", [DeviceParams, TrapConfig, PhotonSource, ExposureConfig])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_float_config_field_must_be_finite(cls, bad):
+    names = [f.name for f in fields(cls) if isinstance(getattr(cls(), f.name), float)]
+    assert names
+    for name in names:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            cls(**{name: bad})
+
+
+def test_exposure_sample_count_is_capped():
+    ExposureConfig(dark_lead=0.0, duration=float(MAX_EXPOSURE_SAMPLES), sample_interval=1.0)
+    with pytest.raises(ValueError, match="sample_interval"):
+        ExposureConfig(dark_lead=1.0, duration=float(MAX_EXPOSURE_SAMPLES),
+                       sample_interval=1.0)
+    with pytest.raises(ValueError, match="sample_interval"):
+        ExposureConfig(sample_interval=5e-324)
