@@ -39,7 +39,6 @@ from .charge import (
 )
 from .simulate import (
     ExposureConfig,
-    Trace,
     TruthEvent,
     add_telegraph_signal,
     exposure_to_gate_equivalence,
@@ -53,6 +52,7 @@ from .transport import (
     CONDUCTANCE_QUANTUM_SIEMENS,
     ConductanceCurve,
     DeviceParams,
+    Trace,
     conductance,
     differential_conductance,
     mode_transmission,

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .simulate import Trace, csv_text
-from .transport import TIME_AXIS, DeviceParams, conductance, transconductance
+from .simulate import csv_text
+from .transport import TIME_AXIS, DeviceParams, Trace, conductance, transconductance
 
 DEFAULT_WINDOW = 12
 DEFAULT_THRESHOLD = 4.0
@@ -103,6 +103,8 @@ def detect_steps(trace: Trace, window: int = DEFAULT_WINDOW,
         raise ValueError("step detection requires a time-axis exposure trace")
     if window < 2:
         raise ValueError("window must be >= 2")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     x = trace.conductance
     if x.size < 2 * window:
         raise ValueError("trace must contain at least 2*window samples")
@@ -140,8 +142,8 @@ def interval_histogram(events: list[StepEvent], bin_width: float):
     """
     if len(events) < 2:
         raise ValueError("need at least 2 events for an interval histogram")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be > 0")
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width!r}")
     intervals = np.diff([e.time for e in events])
     bins = np.floor(intervals / bin_width).astype(int)
     counts = np.bincount(bins)

@@ -26,6 +26,7 @@ seeded runs do not depend on whether the list is shared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,9 @@ class TrapConfig:
 
     def __post_init__(self):
         require_finite(self)
+        if not math.isfinite(self.carrier_density * self.active_area):
+            raise ValueError("carrier_density * active_area must be finite, got "
+                             f"{self.carrier_density!r} * {self.active_area!r}")
         if self.dopant_trap_count <= 0:
             raise ValueError("dopant trap count must be > 0")
         if self.saturation_gate_shift <= 0:

@@ -6,7 +6,10 @@ Configuration is a flat key=value text file with section prefixes
 seed: component RNGs are seeded with the first 8 bytes (big-endian) of
 sha256("<seed>:<tag>"), with tags "ensemble", "exposure" and "sweep".
 Rerunning a command with the same config and seed rewrites byte-identical
-files; output files are written atomically (temp file + rename).
+files; output files are written atomically (temp file + rename).  A flag
+that sets a config value (--seed, --wavelength, --duration, the --noise of
+expose and reproduce-figures, --window, --threshold, --bin-width) is read
+as one more key=value line after the config file's text.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 I/O error.
 """
@@ -26,7 +29,6 @@ from .analyze import analyze_trace, interval_statistics, report_to_text
 from .charge import PhotonSource, TrapConfig, build_ensemble
 from .simulate import (
     ExposureConfig,
-    Trace,
     csv_text,
     exposure_to_gate_equivalence,
     fmt,
@@ -37,8 +39,8 @@ from .simulate import (
 )
 from .transport import (
     GATE_AXIS,
-    ConductanceCurve,
     DeviceParams,
+    Trace,
     differential_conductance,
     sweep,
     transconductance,
@@ -95,17 +97,17 @@ _HIDDEN = {("exposure", "seed")}
 _ANALYSIS_KEYS = {"window": int, "threshold": float, "bin_width": float}
 
 
-def _coerce(raw: str, typ):
+def _coerce(key: str, raw: str, typ):
     if typ is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
+        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
         return typ(raw)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {raw!r} as {typ.__name__}") from exc
+        raise ConfigError(f"{key}: cannot parse {raw!r} as {typ.__name__}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -124,19 +126,19 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "seed":
-            seed = _coerce(value, int)
+            seed = _coerce(key, value, int)
             continue
         prefix, _, name = key.partition(".")
         if prefix == "analysis":
             if name not in _ANALYSIS_KEYS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            analysis[name] = _coerce(value, _ANALYSIS_KEYS[name])
+            analysis[name] = _coerce(key, value, _ANALYSIS_KEYS[name])
             continue
         if prefix not in _SECTIONS or name not in known[prefix]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if (prefix, name) in _HIDDEN:
             raise ConfigError(f"line {lineno}: {key!r} is derived from the master seed")
-        section_values[prefix][name] = _coerce(value, hints[prefix][name])
+        section_values[prefix][name] = _coerce(key, value, hints[prefix][name])
 
     built = {}
     for name, cls in _SECTIONS.items():
@@ -158,12 +160,14 @@ def serialize_config(cfg: RunConfig) -> str:
     return "".join(f"{key}={fmt(value)}\n" for key, value in items)
 
 
-def load_config(path) -> RunConfig:
+def _read_config(path) -> str:
+    """The config file's text, or no text (every default) without a file."""
+    if path is None:
+        return ""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -186,102 +190,66 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the run config and the parsed arguments, and returns
+# the paths it wrote
 # ---------------------------------------------------------------------------
 
-def cmd_sweep(cfg: RunConfig, out_dir: Path, v_start: float | None,
-              v_end: float | None, n_points: int,
-              noise_sigma: float | None) -> list[Path]:
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     device = cfg.device
-    if v_start is None:
-        v_start = device.threshold_voltage
-    if v_end is None:
-        v_end = device.threshold_voltage + DEFAULT_SWEEP_SPAN
-    sigma = 0.0 if noise_sigma is None else noise_sigma
-    trace = simulate_gate_sweep(device, v_start, v_end, n_points, sigma,
+    v_start = device.threshold_voltage if args.v_start is None else args.v_start
+    v_end = device.threshold_voltage + DEFAULT_SWEEP_SPAN if args.v_end is None else args.v_end
+    trace = simulate_gate_sweep(device, v_start, v_end, args.n_points, args.noise,
                                 seed=subseed(cfg.seed, "sweep"))
-    trace_path = out_dir / "sweep_trace.csv"
+    trace_path = args.out / "sweep_trace.csv"
     _atomic_write(trace_path, trace_to_text(trace))
     written = [trace_path]
-    if n_points >= 3:  # finite differences need interior points
-        dgdv = differential_conductance(
-            ConductanceCurve(GATE_AXIS, trace.times, trace.conductance)
-        )
-        dgdv_path = out_dir / "sweep_differential.csv"
+    if args.n_points >= 3:  # finite differences need interior points
+        dgdv = differential_conductance(trace)
+        dgdv_path = args.out / "sweep_differential.csv"
         _atomic_write(dgdv_path, csv_text(
             "qpcsim curve v1",
-            {"axis": GATE_AXIS, "n_points": n_points, "noise_sigma": sigma},
-            (None, "gate_voltage_V,dG_dVg_G0_per_V", zip(dgdv.axis, dgdv.conductance))))
+            {"axis": GATE_AXIS, "n_points": args.n_points, "noise_sigma": args.noise},
+            (None, "gate_voltage_V,dG_dVg_G0_per_V", zip(dgdv.times, dgdv.conductance))))
         written.append(dgdv_path)
     return written
 
 
-def _run_exposure(cfg: RunConfig, wavelength: float | None,
-                  duration: float | None, noise_sigma: float | None) -> Trace:
-    source = cfg.source
-    if wavelength is not None:
-        source = replace(source, wavelength=wavelength)
+def _run_exposure(cfg: RunConfig) -> Trace:
     exposure = replace(cfg.exposure, seed=subseed(cfg.seed, "exposure"))
-    if duration is not None:
-        exposure = replace(exposure, duration=duration)
-    if noise_sigma is not None:
-        exposure = replace(exposure, noise_sigma=noise_sigma)
     ensemble = build_ensemble(cfg.traps, subseed(cfg.seed, "ensemble"))
-    return simulate_exposure(cfg.device, ensemble, source, exposure)
+    return simulate_exposure(cfg.device, ensemble, cfg.source, exposure)
 
 
-def cmd_expose(cfg: RunConfig, out_dir: Path, wavelength: float | None,
-               duration: float | None, noise_sigma: float | None) -> list[Path]:
-    trace = _run_exposure(cfg, wavelength, duration, noise_sigma)
-    path = out_dir / "exposure_trace.csv"
-    _atomic_write(path, trace_to_text(trace))
+def cmd_expose(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
+    path = args.out / "exposure_trace.csv"
+    _atomic_write(path, trace_to_text(_run_exposure(cfg)))
     return [path]
 
 
-def cmd_analyze(cfg: RunConfig, trace_path, out_dir: Path,
-                window: int | None, threshold: float | None,
-                bin_width: float | None) -> list[Path]:
-    trace = read_trace(trace_path)
-    report = analyze_trace(
-        trace,
-        window=window if window is not None else cfg.window,
-        threshold=threshold if threshold is not None else cfg.threshold,
-        bin_width=bin_width if bin_width is not None else (cfg.bin_width or None),
-    )
-    path = out_dir / "analysis_report.txt"
+def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
+    report = analyze_trace(read_trace(args.trace), window=cfg.window,
+                           threshold=cfg.threshold, bin_width=cfg.bin_width or None)
+    path = args.out / "analysis_report.txt"
     _atomic_write(path, report_to_text(report))
     return [path]
 
 
-def cmd_reproduce_figures(cfg: RunConfig, out_dir: Path,
-                          noise_sigma: float | None) -> list[Path]:
+def cmd_reproduce_figures(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     """Emit plot-ready data: gate/photo overlay, height-vs-transconductance,
-    photon interval histogram with its exponential fit."""
+    photon interval histogram with its exponential fit.
+
+    Everything is computed before the first file is written, so a bad
+    setting leaves no partial output."""
     device = cfg.device
     v0 = device.threshold_voltage
     v1 = v0 + DEFAULT_SWEEP_SPAN
 
     gate_curve = sweep(v0, v1, DEFAULT_SWEEP_POINTS, device)
-    trace = _run_exposure(cfg, None, None, noise_sigma)
+    trace = _run_exposure(cfg)
     remap = exposure_to_gate_equivalence(trace, device)
-
-    overlay_path = out_dir / "overlay_gate_photo.csv"
-    _atomic_write(overlay_path, csv_text(
-        "qpcsim figure: gate-driven vs photo-driven conductance", {},
-        (None, "series,gate_voltage_V,conductance_G0",
-         [("gate_sweep", v, g) for v, g in zip(gate_curve.axis, gate_curve.conductance)]
-         + [("photo_remap", v, g) for v, g in zip(remap.axis, remap.conductance)])))
-
     report = analyze_trace(trace, device=device, window=cfg.window,
                            threshold=cfg.threshold,
                            bin_width=cfg.bin_width or None)
-    corr_path = out_dir / "step_heights_vs_transconductance.csv"
-    _atomic_write(corr_path, csv_text(
-        "qpcsim figure: step height vs model transconductance", {},
-        ("[transconductance]", "gate_voltage_V,dG_dVg_G0_per_V",
-         zip(gate_curve.axis, transconductance(gate_curve.axis, device))),
-        ("[steps]", "time_s,height_G0,transconductance_G0_per_V",
-         ((s.time, s.height, g) for s, g in zip(report.steps, report.transconductances)))))
 
     # interval statistics from the run's event log (model ground truth);
     # the detector's version of the same quantities lives in the report
@@ -293,15 +261,31 @@ def cmd_reproduce_figures(cfg: RunConfig, out_dir: Path,
     if fit is not None:
         header.update(fit_mean_interval_s=fit.mean_interval, fit_rate_per_s=fit.rate,
                       ks_statistic=fit.ks_statistic)
-    hist_path = out_dir / "photon_interval_histogram.csv"
-    _atomic_write(hist_path, csv_text(
-        "qpcsim figure: photon inter-arrival histogram", header,
-        (None, "bin_start_s,count", zip(*histogram))))
-    return [overlay_path, corr_path, hist_path]
+
+    files = {
+        "overlay_gate_photo.csv": csv_text(
+            "qpcsim figure: gate-driven vs photo-driven conductance", {},
+            (None, "series,gate_voltage_V,conductance_G0",
+             [("gate_sweep", v, g) for v, g in zip(gate_curve.times, gate_curve.conductance)]
+             + [("photo_remap", v, g) for v, g in zip(remap.times, remap.conductance)])),
+        "step_heights_vs_transconductance.csv": csv_text(
+            "qpcsim figure: step height vs model transconductance", {},
+            ("[transconductance]", "gate_voltage_V,dG_dVg_G0_per_V",
+             zip(gate_curve.times, transconductance(gate_curve.times, device))),
+            ("[steps]", "time_s,height_G0,transconductance_G0_per_V",
+             ((s.time, s.height, g) for s, g in zip(report.steps, report.transconductances)))),
+        "photon_interval_histogram.csv": csv_text(
+            "qpcsim figure: photon inter-arrival histogram", header,
+            (None, "bin_start_s,count", zip(*histogram))),
+    }
+    for name, text in files.items():
+        _atomic_write(args.out / name, text)
+    return [args.out / name for name in files]
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: a flag that sets a config value has that key ("seed" or
+# "section.field") as its dest
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -312,58 +296,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", type=Path, help="key=value config file")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        return p
 
-    p = sub.add_parser("sweep", help="gate-voltage sweep of the channel conductance")
-    common(p)
+    p = command("sweep", cmd_sweep, "gate-voltage sweep of the channel conductance")
     p.add_argument("--v-start", type=float)
     p.add_argument("--v-end", type=float)
     p.add_argument("--n-points", type=int, default=DEFAULT_SWEEP_POINTS)
-    p.add_argument("--noise", type=float, help="additive conductance noise sigma")
+    p.add_argument("--noise", type=float, default=0.0,
+                   help="additive conductance noise sigma")
 
-    p = sub.add_parser("expose", help="fixed-bias photon exposure run")
-    common(p)
-    p.add_argument("--wavelength", type=float, help="nm")
-    p.add_argument("--duration", type=float, help="seconds of illumination")
-    p.add_argument("--noise", type=float, help="conductance noise sigma")
+    p = command("expose", cmd_expose, "fixed-bias photon exposure run")
+    p.add_argument("--wavelength", dest="source.wavelength", type=float, help="nm")
+    p.add_argument("--duration", dest="exposure.duration", type=float,
+                   help="seconds of illumination")
+    p.add_argument("--noise", dest="exposure.noise_sigma", type=float,
+                   help="conductance noise sigma")
 
-    p = sub.add_parser("analyze", help="detect steps and fit statistics in a trace")
-    common(p)
+    p = command("analyze", cmd_analyze, "detect steps and fit statistics in a trace")
     p.add_argument("trace", type=Path, help="trace file produced by expose")
-    p.add_argument("--window", type=int, help="detector window, samples")
-    p.add_argument("--threshold", type=float, help="detection threshold, noise SEs")
-    p.add_argument("--bin-width", type=float, help="interval histogram bin, seconds")
+    p.add_argument("--window", dest="analysis.window", type=int,
+                   help="detector window, samples")
+    p.add_argument("--threshold", dest="analysis.threshold", type=float,
+                   help="detection threshold, noise SEs")
+    p.add_argument("--bin-width", dest="analysis.bin_width", type=float,
+                   help="interval histogram bin, seconds")
 
-    p = sub.add_parser("reproduce-figures",
-                       help="emit plot-ready overlay/correlation/histogram data")
-    common(p)
-    p.add_argument("--noise", type=float, help="conductance noise sigma")
+    p = command("reproduce-figures", cmd_reproduce_figures,
+                "emit plot-ready overlay/correlation/histogram data")
+    p.add_argument("--noise", dest="exposure.noise_sigma", type=float,
+                   help="conductance noise sigma")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    overrides = "".join(f"{key}={fmt(value)}\n" for key, value in vars(args).items()
+                        if value is not None and (key == "seed" or "." in key))
     try:
-        cfg = load_config(args.config) if args.config else default_config()
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        out_dir = args.out
-
-        if args.command == "sweep":
-            written = cmd_sweep(cfg, out_dir, args.v_start, args.v_end,
-                                args.n_points, args.noise)
-        elif args.command == "expose":
-            written = cmd_expose(cfg, out_dir, args.wavelength, args.duration,
-                                 args.noise)
-        elif args.command == "analyze":
-            written = cmd_analyze(cfg, args.trace, out_dir, args.window,
-                                  args.threshold, args.bin_width)
-        else:
-            written = cmd_reproduce_figures(cfg, out_dir, args.noise)
+        cfg = parse_config(_read_config(args.config) + "\n" + overrides)
+        written = args.run(cfg, args)
     except ConfigError as exc:
         print(f"qpcsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

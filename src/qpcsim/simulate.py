@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .charge import (
 from .transport import (
     GATE_AXIS,
     TIME_AXIS,
-    ConductanceCurve,
     DeviceParams,
+    Trace,
     conductance,
     require_finite,
     sweep,
@@ -77,33 +77,6 @@ class TruthEvent:
     time: float          # s
     coupling: float      # V
     gate_shift_after: float  # V, cumulative shift including this event
-
-
-@dataclass(eq=False)
-class Trace:
-    """Sampled conductance plus the ground-truth event log of the run."""
-
-    axis_kind: str                     # TIME_AXIS or GATE_AXIS
-    times: np.ndarray                  # sample positions (s, or V for sweeps)
-    conductance: np.ndarray            # units of 2e^2/h
-    truth_events: list[TruthEvent] | None  # None for runs without an event log
-    config: dict = field(default_factory=dict)
-    photons_incident: int = 0
-    photons_absorbed: int = 0
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.conductance = np.asarray(self.conductance, dtype=float)
-        if self.times.shape != self.conductance.shape:
-            raise ValueError("times and conductance must have the same length")
-        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.conductance))):
-            raise ValueError("trace samples must be finite (no NaN or inf)")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("sample positions must be strictly increasing")
-
-    @property
-    def photons_captured(self) -> int:
-        return 0 if self.truth_events is None else len(self.truth_events)
 
 
 def poisson_event_times(rate: float, duration: float,
@@ -184,8 +157,8 @@ def simulate_gate_sweep(device: DeviceParams, v_start: float, v_end: float,
                         seed: int = 0) -> Trace:
     """Gate sweep with additive Gaussian noise; noiseless equals the model curve."""
     curve = sweep(v_start, v_end, n_points, device)
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     g = curve.conductance
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -199,11 +172,11 @@ def simulate_gate_sweep(device: DeviceParams, v_start: float, v_end: float,
         "seed": seed,
     }
     cfg.update(_device_snapshot(device))
-    return Trace(GATE_AXIS, curve.axis, g, None, cfg)
+    return Trace(GATE_AXIS, curve.times, g, config=cfg)
 
 
 def exposure_to_gate_equivalence(trace: Trace,
-                                 device: DeviceParams) -> ConductanceCurve:
+                                 device: DeviceParams) -> Trace:
     """Re-plot an exposure against the gate voltage its trapped charge mimics.
 
     Each sample is placed at gate_bias + cumulative gate shift; samples
@@ -227,7 +200,7 @@ def exposure_to_gate_equivalence(trace: Trace,
     counts = np.bincount(idx, minlength=levels.size)
     visited = counts > 0
     g = sums[visited] / counts[visited]
-    return ConductanceCurve(GATE_AXIS, volts[visited], g)
+    return Trace(GATE_AXIS, volts[visited], g)
 
 
 def add_telegraph_signal(trace: Trace, amplitude: float = 0.02,
@@ -366,6 +339,8 @@ def trace_from_text(text: str) -> Trace:
                 config[key] = parsed
             continue
         if line == "events":
+            if event_rows is not None:
+                raise ValueError("trace file has more than one events section")
             section = "events"
             event_rows = []
             continue

@@ -16,7 +16,7 @@ energy; no microscopic spin-interaction physics is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -114,23 +114,41 @@ class DeviceParams:
 
 
 @dataclass(eq=False)
-class ConductanceCurve:
-    """Ordered (axis value, conductance) samples; conductance in 2e^2/h."""
+class Trace:
+    """Conductance (2e^2/h) sampled along a gate sweep or an exposure.
 
-    axis_kind: str                 # GATE_AXIS or TIME_AXIS
-    axis: np.ndarray               # strictly increasing
+    Exposure runs also carry their ground-truth capture log
+    (`simulate.TruthEvent`s), their configuration and photon counts.
+    """
+
+    axis_kind: str                     # GATE_AXIS or TIME_AXIS
+    times: np.ndarray                  # sample positions (V, or s for exposures)
     conductance: np.ndarray
+    truth_events: list | None = None   # None for runs without an event log
+    config: dict = field(default_factory=dict)
+    photons_incident: int = 0
+    photons_absorbed: int = 0
 
     def __post_init__(self):
-        self.axis = np.asarray(self.axis, dtype=float)
+        self.times = np.asarray(self.times, dtype=float)
         self.conductance = np.asarray(self.conductance, dtype=float)
-        if self.axis.shape != self.conductance.shape:
-            raise ValueError("axis and conductance must have the same length")
-        if self.axis.size > 1 and not np.all(np.diff(self.axis) > 0):
-            raise ValueError("axis values must be strictly increasing")
+        if self.times.shape != self.conductance.shape:
+            raise ValueError("times and conductance must have the same length")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.conductance))):
+            raise ValueError("trace samples must be finite (no NaN or inf)")
+        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
+            raise ValueError("sample positions must be strictly increasing")
 
     def __len__(self) -> int:
-        return self.axis.size
+        return self.times.size
+
+    @property
+    def photons_captured(self) -> int:
+        return 0 if self.truth_events is None else len(self.truth_events)
+
+
+# Second name for Trace, for callers that build gate-voltage curves by it.
+ConductanceCurve = Trace
 
 
 @lru_cache(maxsize=8)
@@ -236,7 +254,7 @@ def transconductance(effective_gate_voltage, params: DeviceParams,
 
 
 def sweep(v_start: float, v_end: float, n_points: int,
-          params: DeviceParams) -> ConductanceCurve:
+          params: DeviceParams) -> Trace:
     """Conductance sampled on a uniform gate-voltage grid."""
     if not v_start < v_end:
         raise ValueError("v_start must be < v_end")
@@ -244,18 +262,18 @@ def sweep(v_start: float, v_end: float, n_points: int,
         raise ValueError("n_points must be >= 2")
     v = np.linspace(v_start, v_end, n_points)
     g = conductance(v, params)
-    return ConductanceCurve(GATE_AXIS, v, g)
+    return Trace(GATE_AXIS, v, g)
 
 
-def differential_conductance(curve: ConductanceCurve) -> ConductanceCurve:
+def differential_conductance(curve: Trace) -> Trace:
     """dG/dV_g by central finite differences (one-sided at the ends)."""
     if curve.axis_kind != GATE_AXIS:
         raise ValueError("differential conductance requires a gate-voltage curve")
     if len(curve) < 3:
         raise ValueError("need at least 3 points")
-    v, g = curve.axis, curve.conductance
+    v, g = curve.times, curve.conductance
     dg = np.empty_like(g)
     dg[1:-1] = (g[2:] - g[:-2]) / (v[2:] - v[:-2])
     dg[0] = (g[1] - g[0]) / (v[1] - v[0])
     dg[-1] = (g[-1] - g[-2]) / (v[-1] - v[-2])
-    return ConductanceCurve(GATE_AXIS, v.copy(), dg)
+    return Trace(GATE_AXIS, v.copy(), dg)

@@ -69,8 +69,8 @@ def test_criterion_1_plateau_quantization(device):
         curve = sweep(device.threshold_voltage, device.threshold_voltage + 0.3,
                       601, device)
         elapsed = time.perf_counter() - start
-        span1 = contiguous_flat_spans(curve.axis, curve.conductance, 1.0)
-        span2 = contiguous_flat_spans(curve.axis, curve.conductance, 2.0)
+        span1 = contiguous_flat_spans(curve.times, curve.conductance, 1.0)
+        span2 = contiguous_flat_spans(curve.times, curve.conductance, 2.0)
         detail["note"] = (f"flat@1 {span1/0.2:.0%}, flat@2 {span2/0.2:.0%} "
                           f"of 0.2 V, {elapsed*1e3:.0f} ms")
         assert span1 >= 0.2 * 0.2
@@ -98,7 +98,7 @@ def test_criterion_3_gate_photo_equivalence(noiseless_saturated_exposure,
                       "axis matches the gate sweep within 0.05") as detail:
         trace, _ = noiseless_saturated_exposure
         curve = exposure_to_gate_equivalence(trace, device)
-        model = np.asarray(conductance(curve.axis, device))
+        model = np.asarray(conductance(curve.times, device))
         deviation = float(np.abs(curve.conductance - model).max())
         detail["note"] = f"max deviation {deviation:.2e} G0"
         assert deviation <= 0.05
@@ -265,7 +265,7 @@ def test_criterion_8_numerical_oracles():
 
         curve = sweep(-1.49, -1.3, 501, device)
         d = differential_conductance(curve).conductance
-        vv, gg = curve.axis, curve.conductance
+        vv, gg = curve.times, curve.conductance
         fd = (gg[2:] - gg[:-2]) / (vv[2:] - vv[:-2])
         deriv = float(np.abs(d[1:-1] - fd).max())
         detail["note"] = (f"cold {worst_cold:.1e}, doubling {doubling:.1e}, "

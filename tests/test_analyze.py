@@ -421,3 +421,17 @@ def test_interval_statistics_is_the_fit_plus_its_histogram():
     # truth events carry a .time too
     truth = [TruthEvent(s.time, 0.002, 0.0) for s in steps]
     assert interval_statistics(truth, 5.0)[0] == fit
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_detector_rejects_non_finite_threshold(bad):
+    trace = staircase_trace([300.0], [0.5], sigma=0.01)
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        detect_steps(trace, window=12, threshold=bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+def test_histogram_rejects_bin_width_outside_zero_to_inf(bad):
+    events = [StepEvent(0.0, 0.1, 9.0), StepEvent(1.0, 0.1, 9.0)]
+    with pytest.raises(ValueError, match="bin_width"):
+        interval_histogram(events, bad)

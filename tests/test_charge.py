@@ -309,3 +309,8 @@ def test_cumulative_gate_shift_is_the_running_sum():
     # left to right in capture order, bit for bit
     assert levels.tolist() == running
     assert cumulative_gate_shift(0.25, []).tolist() == [0.25]
+
+
+def test_overflowing_dopant_count_names_both_fields():
+    with pytest.raises(ValueError, match="carrier_density \\* active_area"):
+        TrapConfig(carrier_density=1e300, active_area=1e10)

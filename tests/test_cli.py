@@ -280,3 +280,157 @@ def test_non_finite_or_oversized_config_exits_2(tmp_path, capsys, line):
 def test_non_finite_flag_exits_2(tmp_path, capsys):
     assert main(["expose", "--out", str(tmp_path), "--duration", "inf"]) == 2
     assert "duration must be finite" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# flags that set a config value: each is that key as one more config line
+# ---------------------------------------------------------------------------
+
+FLAG_KEYS = {
+    "--seed": "seed",
+    "--wavelength": "source.wavelength",
+    "--duration": "exposure.duration",
+    "--noise": "exposure.noise_sigma",  # of expose and reproduce-figures
+    "--window": "analysis.window",
+    "--threshold": "analysis.threshold",
+    "--bin-width": "analysis.bin_width",
+}
+
+# a short exposure keeps every run fast; --duration overrides it
+BASE_CONFIG = "exposure.duration=1200.0\n"
+
+
+@pytest.fixture(scope="module")
+def short_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("short")
+    cfg = out / "base.cfg"
+    cfg.write_text(BASE_CONFIG)
+    assert main(["expose", "--config", str(cfg), "--out", str(out)]) == 0
+    return out / "exposure_trace.csv"
+
+
+def run_with(run_dir, command, trace, config_text, flags=()):
+    """Run `command` on a config file holding `config_text`.
+
+    Returns the exit code and {file name: bytes} of what it wrote.
+    """
+    run_dir.mkdir(parents=True)
+    cfg = run_dir / "run.cfg"
+    cfg.write_text(config_text)
+    out = run_dir / "out"
+    positional = [str(trace)] if command == "analyze" else []
+    code = main([command, *positional, "--config", str(cfg), "--out", str(out),
+                 *flags])
+    written = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return code, written
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("expose", "--seed", "3"),
+    ("expose", "--wavelength", "700"),
+    ("expose", "--duration", "300"),
+    ("expose", "--noise", "0.01"),
+    ("reproduce-figures", "--noise", "0"),
+    ("analyze", "--seed", "3"),
+    ("analyze", "--window", "8"),
+    ("analyze", "--threshold", "5"),
+    ("analyze", "--bin-width", "7.5"),
+])
+def test_flag_writes_the_same_files_as_its_config_line(tmp_path, short_trace,
+                                                        command, flag, value):
+    line = f"{FLAG_KEYS[flag]}={value}\n"
+    code, by_flag = run_with(tmp_path / "flag", command, short_trace, BASE_CONFIG,
+                             [flag, value])
+    assert code == 0
+    code, by_line = run_with(tmp_path / "line", command, short_trace,
+                             BASE_CONFIG + line)
+    assert code == 0
+    assert by_flag == by_line
+    if flag != "--seed":  # analyze's output does not depend on the seed
+        code, by_base = run_with(tmp_path / "base", command, short_trace, BASE_CONFIG)
+        assert by_base != by_flag
+
+
+def test_all_flags_together_write_the_same_files_as_their_config_lines(
+        tmp_path, short_trace):
+    runs = {
+        "expose": ["--seed", "3", "--wavelength", "600", "--duration", "900",
+                   "--noise", "0.01"],
+        "analyze": ["--seed", "3", "--window", "8", "--threshold", "5",
+                    "--bin-width", "7.5"],
+        "reproduce-figures": ["--seed", "3", "--noise", "0"],
+    }
+    for command, flags in runs.items():
+        lines = "".join(f"{FLAG_KEYS[flag]}={value}\n"
+                        for flag, value in zip(flags[::2], flags[1::2]))
+        # the flags go on a new line even when the file's last line has no newline
+        _, by_flag = run_with(tmp_path / command / "flag", command, short_trace,
+                              BASE_CONFIG.rstrip("\n"), flags)
+        _, by_line = run_with(tmp_path / command / "line", command, short_trace,
+                              BASE_CONFIG + lines)
+        assert by_flag and by_flag == by_line, command
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("expose", "--wavelength", "nan"),
+    ("expose", "--wavelength", "-5"),
+    ("expose", "--duration", "inf"),
+    ("expose", "--noise", "-0.1"),
+    ("reproduce-figures", "--noise", "nan"),
+    ("analyze", "--window", "1"),
+    ("analyze", "--threshold", "nan"),
+    ("analyze", "--bin-width", "inf"),
+    ("analyze", "--bin-width", "nan"),
+])
+def test_bad_flag_or_config_value_exits_2_naming_the_key(tmp_path, short_trace, capsys,
+                                                         command, flag, value):
+    key = FLAG_KEYS[flag]
+    name = key.partition(".")[2]
+    for run_dir, config_text, flags in ((tmp_path / "flag", BASE_CONFIG, [flag, value]),
+                                        (tmp_path / "line", BASE_CONFIG + f"{key}={value}\n", [])):
+        code, written = run_with(run_dir, command, short_trace, config_text, flags)
+        err = capsys.readouterr().err
+        assert code == 2 and name in err and written == {}
+
+
+def test_bad_seed_exits_2_naming_it(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expose", "--out", str(tmp_path), "--seed", "1.5"])
+    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed=1.5\n")
+    assert main(["expose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "exposure_trace.csv").exists()
+
+
+def test_flag_error_is_reported_as_a_config_error(tmp_path, capsys):
+    assert main(["expose", "--out", str(tmp_path), "--duration", "inf"]) == 2
+    assert capsys.readouterr().err == \
+        "qpcsim: config error: exposure: duration must be finite, got inf\n"
+
+
+def test_sweep_non_finite_noise_exits_2(tmp_path, capsys):
+    assert main(["sweep", "--out", str(tmp_path), "--noise", "nan"]) == 2
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_overflowing_dopant_count_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("traps.carrier_density=1e300\ntraps.active_area=1e10\n")
+    assert main(["expose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "carrier_density" in err and "active_area" in err
+    assert not (tmp_path / "exposure_trace.csv").exists()
+
+
+def test_analyze_second_events_section_exits_2(tmp_path, short_trace, capsys):
+    lines = short_trace.read_text().splitlines()
+    start = lines.index("events")
+    events = lines[start:start + 3]  # title, column line, one capture
+    path = tmp_path / "two_sections.csv"
+    path.write_text("\n".join(lines[:start] + events + events) + "\n")
+    assert main(["analyze", str(path), "--out", str(tmp_path)]) == 2
+    assert "events section" in capsys.readouterr().err
+    assert not (tmp_path / "analysis_report.txt").exists()

@@ -206,10 +206,10 @@ def test_noiseless_remap_matches_model_pointwise(noiseless_saturated_exposure,
                                                  device):
     trace, _ = noiseless_saturated_exposure
     curve = exposure_to_gate_equivalence(trace, device)
-    model = np.asarray(conductance(curve.axis, device))
+    model = np.asarray(conductance(curve.times, device))
     assert np.abs(curve.conductance - model).max() < 1e-9
     assert curve.axis_kind == GATE_AXIS
-    assert curve.axis[0] == trace.config["gate_bias"]
+    assert curve.times[0] == trace.config["gate_bias"]
 
 
 def test_remap_of_eventless_trace_is_single_point(device):
@@ -219,7 +219,7 @@ def test_remap_of_eventless_trace_is_single_point(device):
                               config)
     curve = exposure_to_gate_equivalence(trace, device)
     assert len(curve) == 1
-    assert curve.axis[0] == config.gate_bias
+    assert curve.times[0] == config.gate_bias
 
 
 def test_remap_requires_truth_events(device):
@@ -232,9 +232,9 @@ def test_staircase_envelope_bounded_by_coupling_times_slope(
         noiseless_saturated_exposure, device):
     trace, ensemble = noiseless_saturated_exposure
     curve = exposure_to_gate_equivalence(trace, device)
-    v_dense = np.linspace(curve.axis[0], curve.axis[-1], 4000)
+    v_dense = np.linspace(curve.times[0], curve.times[-1], 4000)
     smooth = np.asarray(conductance(v_dense, device))
-    idx = np.searchsorted(curve.axis, v_dense, side="right") - 1
+    idx = np.searchsorted(curve.times, v_dense, side="right") - 1
     stairs = curve.conductance[idx]
     max_coupling = max(e.coupling for e in trace.truth_events)
     max_slope = float(np.max(transconductance(v_dense, device)))
@@ -341,3 +341,17 @@ def test_exposure_sample_count_is_capped():
                        sample_interval=1.0)
     with pytest.raises(ValueError, match="sample_interval"):
         ExposureConfig(sample_interval=5e-324)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweep_rejects_non_finite_noise(device, bad):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        simulate_gate_sweep(device, -1.5, -1.3, 100, bad, 1)
+
+
+def test_trace_file_with_two_events_sections_is_rejected():
+    one_event = "events\ntime_s,coupling_V\n1.0,0.002\n"
+    text = "# qpcsim trace v1\n# axis=exposure-time\ntime_s,conductance_G0\n0.0,0.1\n"
+    assert len(trace_from_text(text + one_event).truth_events) == 1
+    with pytest.raises(ValueError, match="more than one events section"):
+        trace_from_text(text + one_event + one_event)

@@ -221,7 +221,7 @@ def test_differential_extrema_sit_between_and_on_plateaus(device):
 def test_differential_matches_central_difference_formula(device):
     curve = sweep(-1.49, -1.3, 501, device)
     d = differential_conductance(curve).conductance
-    v, g = curve.axis, curve.conductance
+    v, g = curve.times, curve.conductance
     expected = (g[2:] - g[:-2]) / (v[2:] - v[:-2])
     assert np.abs(d[1:-1] - expected).max() < 1e-6
 
@@ -330,3 +330,12 @@ def test_thermal_average_matches_adaptive_quadrature(device):
 def test_curve_rejects_non_increasing_axis():
     with pytest.raises(ValueError):
         ConductanceCurve(GATE_AXIS, np.array([0.0, 0.0, 1.0]), np.zeros(3))
+
+
+def test_conductance_curve_is_the_trace_type(device):
+    import qpcsim
+    assert qpcsim.ConductanceCurve is qpcsim.Trace is ConductanceCurve
+    curve = sweep(-1.5, -1.4, 11, device)
+    assert type(curve) is ConductanceCurve and len(curve) == 11
+    assert curve.truth_events is None and curve.photons_captured == 0
+    assert len(differential_conductance(curve)) == 11
