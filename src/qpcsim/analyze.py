@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .simulate import csv_text
 from .transport import TIME_AXIS, DeviceParams, Trace, conductance, transconductance
@@ -186,29 +186,47 @@ def fit_exponential(intervals) -> IntervalFit:
                        ks_statistic=ks)
 
 
-def _operating_range(device: DeviceParams):
-    lo = device.threshold_voltage - 1.0
-    hi = device.threshold_voltage + (
-        device.num_modes * device.mode_spacing + 4.0
-    ) / device.lever_arm
-    return lo, hi
+@lru_cache(maxsize=8)
+def _model_grid(device: DeviceParams):
+    """Model (v, G, dG/dV) at 4,001 gate voltages, 1 V below threshold to past the last riser.
+
+    Cached and shared between callers, so the arrays are read-only.
+    """
+    v = np.linspace(device.threshold_voltage - 1.0, device.threshold_voltage + (
+        device.num_modes * device.mode_spacing + 4.0) / device.lever_arm, 4001)
+    grid = v, conductance(v, device), transconductance(v, device)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
-def _invert_conductance(g_target: float, device: DeviceParams) -> float | None:
-    """Gate voltage at which the model conductance equals g_target."""
-    lo, hi = _operating_range(device)
-    g_lo = conductance(lo, device)
-    g_hi = conductance(hi, device)
-    if not g_lo < g_target < g_hi:
-        return None
-    return float(brentq(lambda v: conductance(v, device) - g_target, lo, hi,
-                        xtol=1e-13))
+def _invert_conductance(g_target, device: DeviceParams):
+    """Gate voltages at which the model conductance equals g_target (nan outside its range).
 
-
-def _peak_transconductance(device: DeviceParams) -> float:
-    lo, hi = _operating_range(device)
-    grid = np.linspace(lo, hi, 2001)
-    return float(np.max(transconductance(grid, device)))
+    From linear interpolation on the model grid, Newton steps with the model
+    slope, each kept inside a bracket of the root that starts as its grid
+    cell (a step leaving it bisects it instead), until a step is below
+    1e-13 V: two steps on the default device.  Targets do not interact.
+    """
+    v, g, _ = _model_grid(device)
+    target = np.atleast_1d(np.asarray(g_target, dtype=float))
+    x = np.full(target.shape, math.nan)
+    a = np.flatnonzero((g[0] < target) & (target < g[-1]))
+    k = np.searchsorted(g, target[a])
+    lo, hi = v[k - 1], v[k]
+    x[a] = np.interp(target[a], g, v)
+    for _ in range(64):
+        if a.size == 0:
+            break
+        xa, slope = x[a], transconductance(x[a], device)
+        residual = conductance(xa, device) - target[a]
+        lo, hi = np.where(residual < 0.0, xa, lo), np.where(residual > 0.0, xa, hi)
+        newton = xa - residual / np.where(slope > 0.0, slope, math.nan)
+        newton = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        moving = np.abs(newton - xa) >= 1e-13
+        x[a] = newton
+        a, lo, hi = a[moving], lo[moving], hi[moving]
+    return x if np.ndim(g_target) else float(x[0])
 
 
 def correlate_heights(steps: list[StepEvent], trace: Trace,
@@ -226,32 +244,21 @@ def correlate_heights(steps: list[StepEvent], trace: Trace,
     if len(steps) < 3:
         raise ValueError("need at least 3 steps to correlate heights")
     x = trace.conductance
-    implied = np.full(len(steps), np.nan)
-    trans = np.full(len(steps), np.nan)
     heights = np.array([s.height for s in steps])
-    slope_floor = RELATIVE_TRANSCONDUCTANCE_FLOOR * _peak_transconductance(device)
-
+    g_mid = np.full(len(steps), np.nan)
     for k, step in enumerate(steps):
         i = int(np.searchsorted(trace.times, step.time))
-        lo = max(0, i - window)
-        if i <= lo:
-            continue
-        g_before = float(np.mean(x[lo:i]))
-        v_mid = _invert_conductance(g_before + 0.5 * step.height, device)
-        if v_mid is None:
-            continue
-        g_slope = float(transconductance(v_mid, device))
-        trans[k] = g_slope
-        if g_slope > slope_floor:
-            implied[k] = step.height / g_slope
+        if i > 0:
+            g_mid[k] = float(np.mean(x[max(0, i - window):i])) + 0.5 * step.height
+    trans = transconductance(_invert_conductance(g_mid, device), device)
+    slope_floor = RELATIVE_TRANSCONDUCTANCE_FLOOR * float(_model_grid(device)[2].max())
+    implied = heights / np.where(trans > slope_floor, trans, np.nan)
 
     valid = ~np.isnan(implied)
-    if valid.sum() < 2:
-        return math.nan, implied.tolist(), trans.tolist()
     h, g = heights[valid], trans[valid]
-    if np.ptp(h) == 0 or np.ptp(g) == 0:
-        return math.nan, implied.tolist(), trans.tolist()
-    r = float(np.corrcoef(h, g)[0, 1])
+    r = math.nan
+    if valid.sum() >= 2 and np.ptp(h) > 0 and np.ptp(g) > 0:
+        r = float(np.corrcoef(h, g)[0, 1])
     return r, implied.tolist(), trans.tolist()
 
 
@@ -316,6 +323,8 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
     """Full analysis pipeline: detection, interval fit, correlation, saturation."""
     from .simulate import device_from_config
 
+    if bin_width is not None and not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width!r}")
     if device is None:
         try:
             device = device_from_config(trace.config)

@@ -318,7 +318,7 @@ def trace_from_text(text: str) -> Trace:
     event_rows: list[tuple[float, float]] | None = None
     section = "samples"
 
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -348,11 +348,16 @@ def trace_from_text(text: str) -> Trace:
                     "time_s,coupling_V"):
             continue
         a, _, b = line.partition(",")
+        try:
+            a, b = float(a), float(b)
+        except ValueError:
+            raise ValueError(f"trace line {lineno}: {line!r} is neither a known "
+                             "section title, a column line nor a data row") from None
         if section == "samples":
-            times.append(float(a))
-            values.append(float(b))
+            times.append(a)
+            values.append(b)
         else:
-            event_rows.append((float(a), float(b)))
+            event_rows.append((a, b))
 
     events = None
     if event_rows is not None:

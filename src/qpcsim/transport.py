@@ -8,6 +8,11 @@ averaged over the thermal window (-df/dE) around the Fermi energy, which
 rounds the plateau edges.  Conductance is expressed in units of 2e^2/h
 throughout; one unit is ~1/12906 ohm.
 
+Every mode shares the tunnel width and kT, so the thermally averaged
+transmission is one function Phi(x) of x = E_F - subband bottom.  G and
+dG/dV read Phi and Phi' from a table built once per device; an explicit
+`quad_order` integrates directly instead, as the oracle for the table.
+
 The shoulder below the first plateau is modeled phenomenologically by
 splitting the lowest mode into two weighted logistic components offset in
 energy; no microscopic spin-interaction physics is attempted.
@@ -152,38 +157,21 @@ ConductanceCurve = Trace
 
 
 @lru_cache(maxsize=8)
-def _gauss_legendre(order: int):
-    return np.polynomial.legendre.leggauss(order)
+def _thermal_kernel(kt: float, quad_order: int):
+    """Quadrature offsets from E_F and normalized (-df/dE) weights over +-10 kT.
 
-
-@lru_cache(maxsize=8)
-def _thermal_kernel(params: DeviceParams, quad_order: int):
-    """Quadrature energies and normalized (-df/dE) weights over E_F +- 10 kT.
-
-    Cached per device, since the analyzer evaluates G one gate point at a
-    time; the shared arrays are read-only.
+    Cached and shared between callers, so the arrays are read-only.
     """
-    nodes, weights = _gauss_legendre(quad_order)
-    kt = params.thermal_energy
-    energies = params.fermi_energy + THERMAL_WINDOW_KT * kt * nodes
-    x = (energies - params.fermi_energy) / kt
-    kernel = weights / (4.0 * np.cosh(0.5 * x) ** 2)
-    kernel = kernel / kernel.sum()
-    energies.flags.writeable = False
-    kernel.flags.writeable = False
-    return energies, kernel
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    kernel = weights / (4.0 * np.cosh(0.5 * THERMAL_WINDOW_KT * nodes) ** 2)
+    offsets, kernel = THERMAL_WINDOW_KT * kt * nodes, kernel / kernel.sum()
+    offsets.flags.writeable = kernel.flags.writeable = False
+    return offsets, kernel
 
 
 def _logistic_transmission(energy, subband_bottom, tunnel_width):
-    # In place: on a dense sweep (points x quadrature nodes per mode) each
-    # full-size temporary costs about as much as the arithmetic on it.
-    z = np.asarray(np.subtract(energy, subband_bottom, dtype=float))
-    z *= -2.0 * np.pi
-    z /= tunnel_width
-    np.clip(z, -700.0, 700.0, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    return np.divide(1.0, z, out=z)
+    z = -2.0 * np.pi * np.subtract(energy, subband_bottom, dtype=float) / tunnel_width
+    return 1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
 
 
 def mode_transmission(energy, mode_index: int, params: DeviceParams,
@@ -204,53 +192,119 @@ def mode_transmission(energy, mode_index: int, params: DeviceParams,
     return t
 
 
-def _mode_sum(effective_gate_voltage, params: DeviceParams, quad_order: int,
-              response) -> np.ndarray | float:
-    """Sum over modes of response(transmission), averaged over the thermal window.
+def _thermal_average(x, kt: float, tunnel_width: float, quad_order: int):
+    """Phi(x) = sum_k K_k T(u_k + x) and its first three x-derivatives, by quadrature.
 
-    When the shoulder model is enabled, mode 0 contributes the weighted
-    mixture of its two logistic components offset by anomaly_split.
+    x = E_F - subband bottom (meV); the derivatives are s T(1-T), s^2 T(1-T)(1-2T)
+    and s^3 T(1-T)(1-6T+6T^2) under the same sum, with s = 2pi/tunnel_width.
+    """
+    offsets, kernel = _thermal_kernel(kt, quad_order)
+    s = 2.0 * np.pi / tunnel_width
+    t = _logistic_transmission(offsets, -np.asarray(x, dtype=float)[..., None], tunnel_width)
+    dt = s * t * (1.0 - t)
+    moments = (t, dt, s * dt * (1.0 - 2.0 * t), s * s * dt * (1.0 - 6.0 * t * (1.0 - t)))
+    # Row by row, not a BLAS matrix-vector product, which rounds with the
+    # number of rows; conductance(v)[i] must equal conductance(v[i]).
+    return tuple((r * kernel).sum(axis=-1) for r in moments)
+
+
+class _Hermite:
+    """Quintic Hermite interpolant from f, f' and f'' on a uniform grid, clipped to [lo, hi].
+
+    Arguments past the grid evaluate its end cells, which the table pins.
+    """
+
+    def __init__(self, x0: float, h: float, f, df, d2f, lo: float, hi: float):
+        d, e, delta = h * df, 0.5 * h * h * d2f, np.diff(f)
+        d0, d1, e0, e1 = d[:-1], d[1:], e[:-1], e[1:]
+        self.coef = np.stack([f[:-1], d0, e0,
+                              10.0 * delta - 6.0 * d0 - 4.0 * d1 - 3.0 * e0 + e1,
+                              -15.0 * delta + 8.0 * d0 + 7.0 * d1 + 3.0 * e0 - 2.0 * e1,
+                              6.0 * delta - 3.0 * (d0 + d1) - e0 + e1])
+        self.coef.flags.writeable = False  # shared through the table cache
+        self.x0, self.h, self.cells, self.lo, self.hi = x0, h, delta.size, lo, hi
+
+    def __call__(self, x):
+        u = np.clip((x - self.x0) / self.h, 0.0, self.cells)
+        i = np.fmin(u, self.cells - 1).astype(np.intp)  # NaN x: any cell, NaN result
+        t, p = u - i, self.coef[5].take(i)
+        for k in range(4, -1, -1):
+            p *= t
+            p += self.coef[k].take(i)
+        return np.clip(p, self.lo, self.hi, out=p)
+
+
+@lru_cache(maxsize=8)
+def _transmission_table(kt: float, tunnel_width: float):
+    """(Phi, Phi') interpolants for one temperature and tunnel width.
+
+    32 nodes per logistic scale w/2pi over x in +-(10 kT + 40 w/2pi); the
+    two end cells are pinned to Phi = 0 and 1 with zero derivatives, since
+    past them every T(u_k + x) is within 5e-18 of 0 or 1.  None when that
+    takes over 2^18 nodes (kT above ~130 w, 25 MB), for direct quadrature.
+    """
+    scale = tunnel_width / (2.0 * np.pi)
+    h, half = scale / 32.0, THERMAL_WINDOW_KT * kt + 40.0 * scale
+    n = int(math.ceil(2.0 * half / h)) + 1
+    if n > 2**18:
+        return None
+    x = -half + h * np.arange(n)
+    phi, d1, d2, d3 = (np.concatenate(parts) for parts in zip(*(
+        _thermal_average(x[k:k + 4096], kt, tunnel_width, QUAD_ORDER)
+        for k in range(0, n, 4096))))
+    for f, pinned in ((phi, 1.0), (d1, 0.0), (d2, 0.0), (d3, 0.0)):
+        f[:2], f[-2:] = 0.0, pinned
+    return (_Hermite(x[0], h, phi, d1, d2, 0.0, 1.0),
+            _Hermite(x[0], h, d1, d2, d3, 0.0, np.inf))
+
+
+def _mode_sum(effective_gate_voltage, params: DeviceParams, quad_order, order: int):
+    """Sum over modes of Phi (order 0) or Phi' (order 1) at x = E_F - subband bottom.
+
+    From the device's table, or by quadrature when quad_order is given.  With
+    the shoulder model, mode 0 mixes Phi(x) and Phi(x - anomaly_split).
     """
     scalar_in = np.isscalar(effective_gate_voltage)
     v = np.atleast_1d(np.asarray(effective_gate_voltage, dtype=float))
-    energies, kernel = _thermal_kernel(params, quad_order)
-
-    total = np.zeros(v.shape)
-    for n in range(params.num_modes):
-        eps = np.asarray(params.subband_bottom(n, v))[..., None]
-        r = response(_logistic_transmission(energies[None, :], eps, params.tunnel_width))
-        if n == 0 and params.anomaly_enabled:
-            r_late = response(_logistic_transmission(
-                energies[None, :], eps + params.anomaly_split, params.tunnel_width))
-            r = params.anomaly_weight * r + (1.0 - params.anomaly_weight) * r_late
-        # Row by row, not a BLAS matrix-vector product, which rounds with the
-        # number of rows; conductance(v)[i] must equal conductance(v[i]).
-        r *= kernel
-        total += r.sum(axis=-1)
+    kt, width = params.thermal_energy, params.tunnel_width
+    table = None if quad_order else _transmission_table(kt, width)
+    phi = table[order] if table else (lambda x: np.array([  # a mode at a time: memory
+        _thermal_average(row, kt, width, quad_order or QUAD_ORDER)[order] for row in x]))
+    # one lookup for all modes; with the shoulder, a last row for mode 0's late part
+    modes = np.arange(params.num_modes).reshape((-1,) + (1,) * v.ndim)
+    x = params.fermi_energy - params.subband_bottom(modes, v)
+    if params.anomaly_enabled:
+        x = np.concatenate([x, x[:1] - params.anomaly_split])
+    r = phi(x)
+    if params.anomaly_enabled:
+        r[0] = params.anomaly_weight * r[0] + (1.0 - params.anomaly_weight) * r[-1]
+    total = r[0]
+    for n in range(1, params.num_modes):
+        total = total + r[n]
     return float(total[0]) if scalar_in else total
 
 
 def conductance(effective_gate_voltage, params: DeviceParams,
-                quad_order: int = QUAD_ORDER) -> np.ndarray | float:
+                quad_order: int | None = None) -> np.ndarray | float:
     """Linear-response conductance (units of 2e^2/h) at a gate voltage.
 
     Sum over modes of the transmission averaged against the normalized
-    thermal kernel (-df/dE) over E_F +- 10 k_B T.  Accepts scalars or arrays.
+    thermal kernel (-df/dE) over E_F +- 10 k_B T, read from the device's
+    table; an explicit quad_order integrates directly instead.  Accepts
+    scalars or arrays.
     """
-    return _mode_sum(effective_gate_voltage, params, quad_order, lambda t: t)
+    return _mode_sum(effective_gate_voltage, params, quad_order, 0)
 
 
 def transconductance(effective_gate_voltage, params: DeviceParams,
-                     quad_order: int = QUAD_ORDER) -> np.ndarray | float:
+                     quad_order: int | None = None) -> np.ndarray | float:
     """Analytic dG/dV_g (units (2e^2/h)/V) of the model conductance.
 
-    Differentiates the logistic transmission under the same quadrature used
-    by `conductance`, so it is consistent with finite differences of G to
-    the quadrature accuracy.
+    lever_arm times the sum over modes of Phi', the logistic's derivative
+    under the same thermal average as `conductance`, so it is consistent
+    with finite differences of G to the table's accuracy.
     """
-    slope = 2.0 * np.pi / params.tunnel_width * params.lever_arm
-    return _mode_sum(effective_gate_voltage, params, quad_order,
-                     lambda t: slope * t * (1.0 - t))
+    return params.lever_arm * _mode_sum(effective_gate_voltage, params, quad_order, 1)
 
 
 def sweep(v_start: float, v_end: float, n_points: int,

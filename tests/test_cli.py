@@ -434,3 +434,28 @@ def test_analyze_second_events_section_exits_2(tmp_path, short_trace, capsys):
     assert main(["analyze", str(path), "--out", str(tmp_path)]) == 2
     assert "events section" in capsys.readouterr().err
     assert not (tmp_path / "analysis_report.txt").exists()
+
+
+def test_analyze_unknown_section_exits_2_naming_the_line(tmp_path, short_trace, capsys):
+    lines = short_trace.read_text().splitlines()
+    start = lines.index("events")
+    path = tmp_path / "stray_title.csv"
+    path.write_text("\n".join(lines[:start] + ["[steps]"] + lines[start:]) + "\n")
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {start + 1}:" in err and "'[steps]'" in err
+    assert not out.exists()
+
+
+def test_analyze_bad_bin_width_on_a_dark_trace_exits_2(tmp_path, capsys):
+    # too few events to histogram: the setting is checked all the same
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("source.incident_rate=0.0\nexposure.duration=300.0\n")
+    assert main(["expose", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    for value in ("nan", "-1", "inf"):
+        assert main(["analyze", str(tmp_path / "exposure_trace.csv"), "--bin-width",
+                     value, "--out", str(out)]) == 2
+        assert "bin_width" in capsys.readouterr().err
+    assert not out.exists()
