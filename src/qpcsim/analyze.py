@@ -360,22 +360,23 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
 def report_to_text(report: AnalysisReport) -> str:
     valid = [c for c in report.implied_couplings if not math.isnan(c)]
     mean_implied = float(np.mean(valid)) if valid else math.nan
-    fit = report.interval_fit
+    fit, steps = report.interval_fit, report.steps
     return csv_text(
         "qpcsim analysis report v1",
         {"window": report.window, "threshold": float(report.threshold)},
         ("[steps]",
          "time_s,height_G0,confidence,transconductance_G0_per_V,implied_coupling_V",
-         ((s.time, s.height, s.confidence, g, c) for s, g, c in
-          zip(report.steps, report.transconductances, report.implied_couplings))),
-        ("[intervals]", "bin_start_s,count", zip(*report.histogram)),
+         ([s.time for s in steps], [s.height for s in steps],
+          [s.confidence for s in steps], report.transconductances,
+          report.implied_couplings)),
+        ("[intervals]", "bin_start_s,count", report.histogram),
         ("[fit]", "event_count,mean_interval_s,rate_per_s,ks_statistic",
-         [] if fit is None else
-         [(fit.event_count, fit.mean_interval, fit.rate, fit.ks_statistic)]),
+         () if fit is None else
+         [[v] for v in (fit.event_count, fit.mean_interval, fit.rate, fit.ks_statistic)]),
         ("[correlation]", "pearson_r,n_used,mean_implied_coupling_V,status",
-         [(report.height_correlation, len(valid), mean_implied,
-           report.correlation_status)]),
+         [[v] for v in (report.height_correlation, len(valid), mean_implied,
+                        report.correlation_status)]),
         ("[saturation]", "saturation_detected,step_count,total_rise_G0",
-         [(report.saturation_detected, len(report.steps),
-           report.total_conductance_rise)]),
+         [[v] for v in (report.saturation_detected, len(steps),
+                        report.total_conductance_rise)]),
     )

@@ -39,6 +39,7 @@ from .simulate import (
 )
 from .transport import (
     GATE_AXIS,
+    MAX_SAMPLES,
     DeviceParams,
     Trace,
     differential_conductance,
@@ -195,6 +196,8 @@ def _atomic_write(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
+    if args.n_points > MAX_SAMPLES:
+        raise ValueError(f"--n-points must be <= {MAX_SAMPLES}, got {args.n_points}")
     device = cfg.device
     v_start = device.threshold_voltage if args.v_start is None else args.v_start
     v_end = device.threshold_voltage + DEFAULT_SWEEP_SPAN if args.v_end is None else args.v_end
@@ -209,7 +212,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
         _atomic_write(dgdv_path, csv_text(
             "qpcsim curve v1",
             {"axis": GATE_AXIS, "n_points": args.n_points, "noise_sigma": args.noise},
-            (None, "gate_voltage_V,dG_dVg_G0_per_V", zip(dgdv.times, dgdv.conductance))))
+            (None, "gate_voltage_V,dG_dVg_G0_per_V", (dgdv.times, dgdv.conductance))))
         written.append(dgdv_path)
     return written
 
@@ -266,17 +269,19 @@ def cmd_reproduce_figures(cfg: RunConfig, args: argparse.Namespace) -> list[Path
         "overlay_gate_photo.csv": csv_text(
             "qpcsim figure: gate-driven vs photo-driven conductance", {},
             (None, "series,gate_voltage_V,conductance_G0",
-             [("gate_sweep", v, g) for v, g in zip(gate_curve.times, gate_curve.conductance)]
-             + [("photo_remap", v, g) for v, g in zip(remap.times, remap.conductance)])),
+             (["gate_sweep"] * len(gate_curve) + ["photo_remap"] * len(remap),
+              gate_curve.times.tolist() + remap.times.tolist(),
+              gate_curve.conductance.tolist() + remap.conductance.tolist()))),
         "step_heights_vs_transconductance.csv": csv_text(
             "qpcsim figure: step height vs model transconductance", {},
             ("[transconductance]", "gate_voltage_V,dG_dVg_G0_per_V",
-             zip(gate_curve.times, transconductance(gate_curve.times, device))),
+             (gate_curve.times, transconductance(gate_curve.times, device))),
             ("[steps]", "time_s,height_G0,transconductance_G0_per_V",
-             ((s.time, s.height, g) for s, g in zip(report.steps, report.transconductances)))),
+             ([s.time for s in report.steps], [s.height for s in report.steps],
+              report.transconductances))),
         "photon_interval_histogram.csv": csv_text(
             "qpcsim figure: photon inter-arrival histogram", header,
-            (None, "bin_start_s,count", zip(*histogram))),
+            (None, "bin_start_s,count", histogram)),
     }
     for name, text in files.items():
         _atomic_write(args.out / name, text)

@@ -32,6 +32,7 @@ from .charge import (
 )
 from .transport import (
     GATE_AXIS,
+    MAX_SAMPLES,
     TIME_AXIS,
     DeviceParams,
     Trace,
@@ -40,9 +41,8 @@ from .transport import (
     sweep,
 )
 
-# Most samples an exposure may ask for: each costs several float64 arrays
-# and a row of text, so ~10^7 (58 days at the default 0.5 s) is the limit.
-MAX_EXPOSURE_SAMPLES = 10_000_000
+# an exposure's name for the sample cap every trace shares
+MAX_EXPOSURE_SAMPLES = MAX_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ class ExposureConfig:
             raise ValueError("sample_interval must be > 0")
         if self.dark_lead < 0:
             raise ValueError("dark_lead must be >= 0")
-        if (self.dark_lead + self.duration) / self.sample_interval > MAX_EXPOSURE_SAMPLES:
+        if (self.dark_lead + self.duration) / self.sample_interval > MAX_SAMPLES:
             raise ValueError("(dark_lead + duration) / sample_interval must be "
-                             f"<= {MAX_EXPOSURE_SAMPLES} samples")
+                             f"<= {MAX_SAMPLES} samples")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -269,16 +269,31 @@ def fmt(value) -> str:
 def csv_text(title: str, header: dict, *tables) -> str:
     """File text: '# title', '# key=value' per header item, then the tables.
 
-    Each table is (title line or None, column line, rows); every field of a
-    row goes through `fmt`.
+    Each table is (title line or None, column line, columns): equal-length
+    columns, written a column at a time.  A float ndarray column is written
+    as `repr` of its Python floats, the bytes `fmt` gives; every other field
+    goes through `fmt`.  Unequal lengths raise ValueError.
     """
-    lines = [f"# {title}"] + [f"# {key}={fmt(value)}" for key, value in header.items()]
-    for table_title, columns, rows in tables:
+    parts = [f"# {title}\n"] + [f"# {key}={fmt(value)}\n" for key, value in header.items()]
+    for table_title, names, columns in tables:
         if table_title is not None:
-            lines.append(table_title)
-        lines.append(columns)
-        lines += [",".join(map(fmt, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+            parts.append(f"{table_title}\n")
+        parts.append(f"{names}\n")
+        rows = len(columns[0]) if len(columns) else 0
+        if any(len(col) != rows for col in columns):
+            raise ValueError(f"table {names!r}: columns must have equal lengths")
+        if not rows:
+            continue
+        # one list of fields and separators, "a", ",", ..., "z", "\n" per row
+        width = 2 * len(columns)
+        fields = [","] * (width * rows)
+        fields[width - 1::width] = ["\n"] * rows
+        for j, col in enumerate(columns):
+            float_array = isinstance(col, np.ndarray) and col.dtype.kind == "f"
+            fields[2 * j::width] = (map(repr, col.astype(float, copy=False).tolist())
+                                   if float_array else map(fmt, col))
+        parts.append("".join(fields))
+    return "".join(parts)
 
 
 def _parse_value(text: str):
@@ -302,26 +317,57 @@ def trace_to_text(trace: Trace) -> str:
     header.update(photons_incident=trace.photons_incident,
                   photons_absorbed=trace.photons_absorbed)
     tables = [(None, f"{_AXIS_COLUMN[trace.axis_kind]},conductance_G0",
-               zip(trace.times.tolist(), trace.conductance.tolist()))]
-    if trace.truth_events is not None:
+               (trace.times, trace.conductance))]
+    events = trace.truth_events
+    if events is not None:
         tables.append(("events", "time_s,coupling_V",
-                       ((e.time, e.coupling) for e in trace.truth_events)))
+                       ([e.time for e in events], [e.coupling for e in events])))
     return csv_text("qpcsim trace v1", header, *tables)
+
+
+def _data_rows(lines: list[str], first_lineno: int) -> np.ndarray:
+    """A run of data lines as an (n, 2) array: one `np.loadtxt` call (the C
+    parser `float` uses), or, when that rejects the run, `float` line by line,
+    which also reads `1_0` and non-ASCII digits and names the first bad line.
+    """
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] == 2:
+            return rows
+    except ValueError:
+        pass
+    rows = np.empty((len(lines), 2))
+    for i, line in enumerate(lines):
+        a, _, b = line.partition(",")
+        try:
+            rows[i] = float(a), float(b)
+        except ValueError:
+            raise ValueError(f"trace line {first_lineno + i}: {line!r} is neither a known "
+                             "section title, a column line nor a data row") from None
+    return rows
 
 
 def trace_from_text(text: str) -> Trace:
     axis_kind = TIME_AXIS
     config: dict = {}
     incident = absorbed = 0
-    times: list[float] = []
-    values: list[float] = []
-    event_rows: list[tuple[float, float]] | None = None
-    section = "samples"
+    no_rows = np.empty((0, 2))
+    blocks = {"samples": [no_rows], "events": None}  # section -> its parsed runs of rows
+    section, run, first = "samples", [], 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # the appended blank line ends the last run of data lines
+    for lineno, raw in enumerate(text.splitlines() + [""], start=1):
         line = raw.strip()
-        if not line:
+        if line and line[0] != "#" and line not in (
+                "events", "time_s,conductance_G0", "gate_voltage_V,conductance_G0",
+                "time_s,coupling_V"):
+            if not run:
+                first = lineno
+            run.append(line)
             continue
+        if run:
+            blocks[section].append(_data_rows(run, first))
+            run = []
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" not in body:
@@ -337,36 +383,21 @@ def trace_from_text(text: str) -> Trace:
                 absorbed = int(parsed)
             else:
                 config[key] = parsed
-            continue
-        if line == "events":
-            if event_rows is not None:
+        elif line == "events":
+            if blocks["events"] is not None:
                 raise ValueError("trace file has more than one events section")
-            section = "events"
-            event_rows = []
-            continue
-        if line in ("time_s,conductance_G0", "gate_voltage_V,conductance_G0",
-                    "time_s,coupling_V"):
-            continue
-        a, _, b = line.partition(",")
-        try:
-            a, b = float(a), float(b)
-        except ValueError:
-            raise ValueError(f"trace line {lineno}: {line!r} is neither a known "
-                             "section title, a column line nor a data row") from None
-        if section == "samples":
-            times.append(a)
-            values.append(b)
-        else:
-            event_rows.append((a, b))
+            section, blocks["events"] = "events", [no_rows]
 
+    times, values = np.concatenate(blocks["samples"]).T.copy()
     events = None
-    if event_rows is not None:
+    if blocks["events"] is not None:
+        event_times, couplings = np.concatenate(blocks["events"]).T
         levels = cumulative_gate_shift(
-            float(config.get("initial_gate_shift", 0.0)), [c for _, c in event_rows])
-        events = [TruthEvent(t, c, float(s))
-                  for (t, c), s in zip(event_rows, levels[1:])]
+            float(config.get("initial_gate_shift", 0.0)), couplings)
+        events = [TruthEvent(*fields) for fields in zip(
+            event_times.tolist(), couplings.tolist(), levels[1:].tolist())]
 
-    return Trace(axis_kind, np.array(times), np.array(values), events, config,
+    return Trace(axis_kind, times, values, events, config,
                  photons_incident=incident, photons_absorbed=absorbed)
 
 

@@ -48,6 +48,10 @@ THERMAL_WINDOW_KT = 10.0
 GATE_AXIS = "gate-voltage"
 TIME_AXIS = "exposure-time"
 
+# Most samples a sweep or an exposure may ask for: each costs several float64
+# arrays and a row of text, so ~10^7 (58 days at the default 0.5 s) is the limit.
+MAX_SAMPLES = 10_000_000
+
 
 def require_finite(config) -> None:
     """Reject NaN or inf in any float field of a config dataclass, by name."""
@@ -250,8 +254,8 @@ def _transmission_table(kt: float, tunnel_width: float):
         return None
     x = -half + h * np.arange(n)
     phi, d1, d2, d3 = (np.concatenate(parts) for parts in zip(*(
-        _thermal_average(x[k:k + 4096], kt, tunnel_width, QUAD_ORDER)
-        for k in range(0, n, 4096))))
+        _thermal_average(x[k:k + 256], kt, tunnel_width, QUAD_ORDER)
+        for k in range(0, n, 256))))
     for f, pinned in ((phi, 1.0), (d1, 0.0), (d2, 0.0), (d3, 0.0)):
         f[:2], f[-2:] = 0.0, pinned
     return (_Hermite(x[0], h, phi, d1, d2, 0.0, 1.0),
@@ -310,10 +314,13 @@ def transconductance(effective_gate_voltage, params: DeviceParams,
 def sweep(v_start: float, v_end: float, n_points: int,
           params: DeviceParams) -> Trace:
     """Conductance sampled on a uniform gate-voltage grid."""
+    for name, value in (("v_start", v_start), ("v_end", v_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not v_start < v_end:
         raise ValueError("v_start must be < v_end")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    if not 2 <= n_points <= MAX_SAMPLES:
+        raise ValueError(f"n_points must be in [2, {MAX_SAMPLES}], got {n_points}")
     v = np.linspace(v_start, v_end, n_points)
     g = conductance(v, params)
     return Trace(GATE_AXIS, v, g)

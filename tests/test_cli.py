@@ -97,6 +97,22 @@ def test_sweep_invalid_range_exits_2(tmp_path, capsys):
     assert "v_start" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,name", [
+    (["--n-points", "100000000000"], "--n-points"),
+    (["--v-end", "inf"], "v_end"),
+    (["--v-start=-inf"], "v_start"),
+    (["--v-start", "nan"], "v_start"),
+])
+def test_sweep_oversized_or_non_finite_exits_2_naming_it(tmp_path, capsys, flags, name):
+    # 10^11 points is rejected before anything is allocated; an infinite end
+    # before np.linspace warns
+    out = tmp_path / "out"
+    assert main(["sweep", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qpcsim: invalid input: ") and name in err
+    assert "Warning" not in err and not out.exists()
+
+
 def test_sweep_unwritable_path_exits_3(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")

@@ -9,17 +9,19 @@ cannot pass them unnoticed.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpcsim.analyze import AnalysisReport, IntervalFit, StepEvent, report_to_text
 from qpcsim.charge import PhotonSource, TrapConfig, cumulative_gate_shift
-from qpcsim.cli import RunConfig, parse_config, serialize_config
+from qpcsim.cli import RunConfig, main, parse_config, serialize_config
 from qpcsim.simulate import (
     MAX_EXPOSURE_SAMPLES,
     ExposureConfig,
     Trace,
     TruthEvent,
+    _parse_value,
     csv_text,
     fmt,
     trace_from_text,
@@ -181,9 +183,9 @@ def test_numpy_floats_in_a_trace_header_read_back_as_floats():
 
 def test_csv_text_layout():
     text = csv_text("qpcsim demo v1", {"n": 2, "flag": False},
-                    (None, "a,b", [(1, 0.5), (np.int64(2), np.float64(1e-05))]),
-                    ("[more]", "c", iter([("x",)])),
-                    ("[empty]", "d", []))
+                    (None, "a,b", [[1, np.int64(2)], [0.5, np.float64(1e-05)]]),
+                    ("[more]", "c", [["x"]]),
+                    ("[empty]", "d", [[]]))
     assert text == ("# qpcsim demo v1\n# n=2\n# flag=false\na,b\n1,0.5\n2,1e-05\n"
                     "[more]\nc\nx\n[empty]\nd\n")
 
@@ -281,3 +283,222 @@ run_configs = st.builds(
 @given(cfg=run_configs)
 def test_config_text_round_trip(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# ---------------------------------------------------------------------------
+# the column writer against a row-at-a-time reference
+# ---------------------------------------------------------------------------
+
+def row_wise_csv_text(title, header, *tables):
+    """The same layout as `csv_text`, written a row at a time."""
+    lines = [f"# {title}"] + [f"# {key}={fmt(value)}" for key, value in header.items()]
+    for table_title, names, columns in tables:
+        if table_title is not None:
+            lines.append(table_title)
+        lines.append(names)
+        lines += [",".join(map(fmt, row)) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    EXTREMES + [math.nan, -math.inf, math.inf, 1e-310, -2.5e-320])
+
+
+def float_array(dtype):
+    def build(xs):
+        with np.errstate(over="ignore"):  # large floats become +-inf in float16/32
+            return np.array(xs, dtype=dtype)
+    return build
+
+
+def column_of(kind, size):
+    floats = st.lists(any_float, min_size=size, max_size=size)
+    return {
+        "float64": floats.map(float_array(np.float64)),
+        "float32": floats.map(float_array(np.float32)),
+        "float16": floats.map(float_array(np.float16)),
+        "longdouble": floats.map(float_array(np.longdouble)),
+        "python floats": floats,
+        "numpy float scalars": floats.map(lambda xs: [np.float64(x) for x in xs]),
+        "int": st.lists(st.integers(-2**63, 2**63 - 1), min_size=size, max_size=size)
+                 .map(lambda xs: np.array(xs, dtype=np.int64)),
+        "python ints": st.lists(st.integers(), min_size=size, max_size=size),
+        "bool": st.lists(st.booleans(), min_size=size, max_size=size).map(np.array),
+        "numpy bool scalars": st.lists(st.booleans(), min_size=size, max_size=size)
+                                .map(lambda xs: [np.bool_(x) for x in xs]),
+        "strings": st.lists(st.text(), min_size=size, max_size=size),
+    }[kind]
+
+
+COLUMN_KINDS = ["float64", "float32", "float16", "longdouble", "python floats",
+                "numpy float scalars", "int", "python ints", "bool",
+                "numpy bool scalars", "strings"]
+
+
+@st.composite
+def column_tables(draw):
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=4))
+    columns = [draw(column_of(kind, rows)) for kind in kinds]
+    title = draw(st.none() | st.sampled_from(["events", "[steps]"]))
+    return title, ",".join(f"c{j}" for j in range(len(columns))), columns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(tables=[(None, "x,y", [np.array([math.nan, -0.0, 5e-324, 1.7976931348623157e308,
+                                           -1.7976931348623157e308, math.inf]),
+                                 np.array([0.1, 2.2250738585072014e-308, -5e-324, 1e16,
+                                           -math.inf, 1.8e308])])])
+@example(tables=[("[empty]", "a,b", [np.empty(0), []]), ("[none]", "c", [])])
+@given(tables=st.lists(column_tables(), max_size=3))
+def test_column_writer_matches_row_wise_reference(tables):
+    header = {"n": len(tables), "flag": True}
+    assert csv_text("qpcsim demo v1", header, *tables) == \
+        row_wise_csv_text("qpcsim demo v1", header, *tables)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(lengths=st.lists(st.integers(0, 5), min_size=2, max_size=4).filter(
+    lambda ns: len(set(ns)) > 1))
+def test_column_writer_rejects_unequal_lengths(lengths):
+    columns = [np.zeros(n) if j % 2 else [1] * n for j, n in enumerate(lengths)]
+    names = ",".join("c" * (j + 1) for j in range(len(lengths)))
+    with pytest.raises(ValueError, match="equal lengths"):
+        csv_text("qpcsim demo v1", {}, (None, names, columns))
+
+
+# ---------------------------------------------------------------------------
+# the block reader against the line-at-a-time reader it replaced
+# ---------------------------------------------------------------------------
+
+def line_wise_trace_from_text(text):
+    """`trace_from_text` as it was when every data line went through `float`."""
+    axis_kind = TIME_AXIS
+    config = {}
+    incident = absorbed = 0
+    times, values = [], []
+    event_rows = None
+    section = "samples"
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" not in body:
+                continue
+            key, _, val = body.partition("=")
+            key = key.strip()
+            parsed = _parse_value(val.strip())
+            if key == "axis":
+                axis_kind = str(parsed)
+            elif key == "photons_incident":
+                incident = int(parsed)
+            elif key == "photons_absorbed":
+                absorbed = int(parsed)
+            else:
+                config[key] = parsed
+            continue
+        if line == "events":
+            if event_rows is not None:
+                raise ValueError("trace file has more than one events section")
+            section = "events"
+            event_rows = []
+            continue
+        if line in ("time_s,conductance_G0", "gate_voltage_V,conductance_G0",
+                    "time_s,coupling_V"):
+            continue
+        a, _, b = line.partition(",")
+        try:
+            a, b = float(a), float(b)
+        except ValueError:
+            raise ValueError(f"trace line {lineno}: {line!r} is neither a known "
+                             "section title, a column line nor a data row") from None
+        if section == "samples":
+            times.append(a)
+            values.append(b)
+        else:
+            event_rows.append((a, b))
+    events = None
+    if event_rows is not None:
+        levels = cumulative_gate_shift(
+            float(config.get("initial_gate_shift", 0.0)), [c for _, c in event_rows])
+        events = [TruthEvent(t, c, float(s))
+                  for (t, c), s in zip(event_rows, levels[1:])]
+    return Trace(axis_kind, np.array(times), np.array(values), events, config,
+                 photons_incident=incident, photons_absorbed=absorbed)
+
+
+def read_outcome(read, text):
+    """Everything a reader gives back for `text`, or the error it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = read(text)
+    except Exception as exc:  # the exception type and message must match too
+        return type(exc), str(exc)
+    events = None if trace.truth_events is None else _bits(
+        [(e.time, e.coupling, e.gate_shift_after) for e in trace.truth_events])
+    return (trace.axis_kind, _bits(trace.times), _bits(trace.conductance),
+            {k: repr(v) for k, v in trace.config.items()},
+            trace.photons_incident, trace.photons_absorbed, events)
+
+
+ONE_ROW_EMPTY_EVENTS_TEXT = """\
+# qpcsim trace v1
+# axis=exposure-time
+time_s,conductance_G0
+0.5,0.25
+events
+time_s,coupling_V
+"""
+
+ODD_LINES = ["1,2,3", "1,", ",2", "1,2#x", "1_0,2", "１,2", " 1 , 2 ", "1 ,\t2",
+             "1\xa0,2", "nan,1", "1,inf", "1e999,2", "0x10,2", "1,2\x00", "﻿1,2",
+             "-0.0,5e-324", "events", "[steps]", "time_s,coupling_V", "# photons_incident=x",
+             "# initial_gate_shift=1e308", "", "2,3\n4,5", "99,1\n100,2"]
+
+number_like = st.text(alphabet="0123456789_.,+-eE naif#\t１\xa0", max_size=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(trace=traces(), data=st.data())
+def test_block_reader_matches_line_wise_reader(trace, data):
+    with np.errstate(over="ignore"):
+        lines = trace_to_text(trace).splitlines()
+    at = data.draw(st.integers(0, len(lines)))
+    line = data.draw(st.sampled_from(ODD_LINES) | number_like | st.text(max_size=12))
+    replace = data.draw(st.booleans()) and at < len(lines)
+    lines[at:at + replace] = [line]
+    text = "\n".join(lines) + "\n"
+    assert read_outcome(trace_from_text, text) == \
+        read_outcome(line_wise_trace_from_text, text)
+
+
+@pytest.mark.parametrize("base", [EXPOSURE_TEXT, SWEEP_TEXT, ONE_ROW_EMPTY_EVENTS_TEXT])
+@pytest.mark.parametrize("line", ODD_LINES)
+def test_block_reader_matches_line_wise_reader_on_odd_lines(base, line):
+    lines = base.splitlines()
+    columns = [i for i, text in enumerate(lines) if text.endswith("_G0")][0]
+    # in place of the first sample, after the last sample, and as the last line
+    for at, replace in ((columns + 1, 1), (columns + 2, 0), (len(lines), 0)):
+        edited = lines[:at] + [line] + lines[at + replace:]
+        text = "\n".join(edited) + "\n"
+        assert read_outcome(trace_from_text, text) == \
+            read_outcome(line_wise_trace_from_text, text), (at, replace)
+
+
+def test_one_row_sample_section_and_empty_events_section_read_back():
+    trace = trace_from_text(ONE_ROW_EMPTY_EVENTS_TEXT)
+    assert trace.times.tolist() == [0.5] and trace.conductance.tolist() == [0.25]
+    assert trace.truth_events == []
+    assert trace_to_text(trace) == ONE_ROW_EMPTY_EVENTS_TEXT.replace(
+        "time_s,conductance_G0", "# photons_incident=0\n# photons_absorbed=0\n"
+        "time_s,conductance_G0")
+
+
+def test_cli_traces_survive_text_to_trace_to_text(tmp_path):
+    assert main(["sweep", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert main(["expose", "--seed", "1", "--out", str(tmp_path)]) == 0
+    for name in ("sweep_trace.csv", "exposure_trace.csv"):
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert trace_to_text(trace_from_text(text)) == text, name

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qpcsim.transport import (
     CONDUCTANCE_QUANTUM_SIEMENS,
     GATE_AXIS,
     KB_MEV_PER_K,
+    MAX_SAMPLES,
     PINCH_MARGIN_MEV,
     ConductanceCurve,
     DeviceParams,
@@ -160,6 +162,23 @@ def test_sweep_rejects_bad_range(device):
         sweep(-1.5, -1.5, 100, device)
     with pytest.raises(ValueError):
         sweep(-1.5, -1.3, 1, device)
+
+
+@pytest.mark.parametrize("v_start,v_end,name", [
+    (-1.5, math.inf, "v_end"), (-math.inf, -1.3, "v_start"), (math.nan, -1.3, "v_start"),
+])
+def test_sweep_rejects_non_finite_ends_by_name(device, v_start, v_end, name):
+    # checked before np.linspace, which would warn on an infinite step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sweep(v_start, v_end, 11, device)
+
+
+def test_sweep_length_is_capped_before_allocating(device):
+    # 10^11 points would be 745 GiB of gate voltages
+    with pytest.raises(ValueError, match=rf"n_points must be in \[2, {MAX_SAMPLES}\]"):
+        sweep(-1.5, -1.3, 10**11, device)
 
 
 def test_shoulder_is_dgdv_minimum_in_conductance_window(device):
