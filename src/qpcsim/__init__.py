@@ -28,7 +28,6 @@ from .analyze import (
 )
 from .charge import (
     PhotonSource,
-    Trap,
     TrapConfig,
     TrapEnsemble,
     absorption_target,
@@ -66,7 +65,7 @@ __all__ = [
     "AnalysisReport", "IntervalFit", "StepEvent", "analyze_trace",
     "correlate_heights", "detect_steps", "estimate_noise_sigma",
     "fit_exponential", "interval_histogram", "saturation_summary",
-    "PhotonSource", "Trap", "TrapConfig", "TrapEnsemble", "absorption_target",
+    "PhotonSource", "TrapConfig", "TrapEnsemble", "absorption_target",
     "build_ensemble", "capture_photon", "capture_photons",
     "effective_gate_shift",
     "ExposureConfig", "Trace", "TruthEvent", "add_telegraph_signal",

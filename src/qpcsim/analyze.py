@@ -76,6 +76,14 @@ class AnalysisReport:
     histogram: tuple = field(default_factory=tuple)  # (bin starts, counts)
 
 
+def _median(x: np.ndarray) -> float:
+    """`np.median` of a non-empty finite array, bit for bit, without its ~15 ms
+    `numpy.ma` import: + 0.0 clears -0.0 as numpy's mean does."""
+    lo, hi = (x.size - 1) // 2, x.size // 2
+    part = np.partition(x, [lo, hi])
+    return float((part[lo] + part[hi] + 0.0) / 2 if lo != hi else part[lo] + 0.0)
+
+
 def estimate_noise_sigma(samples: np.ndarray) -> float:
     """Robust per-sample noise from the MAD of first differences.
 
@@ -84,7 +92,7 @@ def estimate_noise_sigma(samples: np.ndarray) -> float:
     d = np.diff(np.asarray(samples, dtype=float))
     if d.size == 0:
         return 0.0
-    mad = np.median(np.abs(d - np.median(d)))
+    mad = _median(np.abs(d - _median(d)))
     return float(mad / _MAD_TO_SIGMA / math.sqrt(2.0))
 
 
@@ -304,7 +312,7 @@ def saturation_summary(steps: list[StepEvent], trace: Trace,
 
     tail_len = int(math.ceil(tail_fraction * n))
     gaps = np.diff([s.time for s in steps])
-    dt = float(np.median(np.diff(t)))
+    dt = _median(np.diff(t))
     tail_len = max(tail_len, int(math.ceil(3.0 * float(np.mean(gaps)) / dt)))
     if tail_len >= n - m:
         return False, len(steps), total_rise  # too short a run to certify

@@ -15,23 +15,24 @@ traps far from the channel whose couplings are ~100x smaller, producing
 only a smooth conductance drift.  Which population a photon can reach is
 set by its wavelength (absorption layer).
 
-A run captures its photons in one pass over the traps (`capture_photons`):
-one O(m) scan for the m empty eligible traps, then one `capture_photon`
-call per photon that draws from that free list and pops the trap it
-fills.  The pops move O(m) pointers each, so they are the remaining
-quadratic term, small next to a per-photon rescan.  Each draw is the
-same scalar draw over the same ordered list as a rescan would make, so
-seeded runs do not depend on whether the list is shared.
+An ensemble is the traps' couplings and kind codes plus `captured`, the
+filled traps in capture order.  A run captures its photons in one pass
+(`capture_photons`): one vectorized scan for the m empty eligible traps,
+then one `capture_photon` call per photon that draws from that free list
+and pops the trap it fills (O(m) pointer moves, small next to a rescan).
+Each draw is the same scalar draw over the same ordered list as a rescan
+would make.  The trapped shift is the left-to-right sum over `captured`,
+so a later run starts bit for bit at the last level of the run before.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transport import require_finite
+from .transport import MAX_SAMPLES, require_finite
 
 # Elementary charge, coulombs.
 E_CHARGE = 1.602176634e-19
@@ -51,7 +52,9 @@ LAYER_BARRIER = "algaas"
 LAYER_BUFFER = "gaas_buffer"
 LAYER_NONE = "none"
 
-_DOPANT_KINDS = (DX_CENTER, NEUTRAL_DONOR)
+# a trap's kind code indexes this tuple; the dopant kinds come first
+KINDS = (DX_CENTER, NEUTRAL_DONOR, BUFFER_MICRO)
+_BUFFER_CODE = KINDS.index(BUFFER_MICRO)
 
 
 @dataclass(frozen=True)
@@ -125,34 +128,33 @@ class PhotonSource:
         return self.incident_rate * self.quantum_efficiency
 
 
-@dataclass
-class Trap:
-    kind: str          # DX_CENTER | NEUTRAL_DONOR | BUFFER_MICRO
-    coupling: float    # V of effective gate shift when occupied
-    occupied: bool = False
+@dataclass(eq=False)
+class TrapEnsemble:
+    """All traps of one device instance; occupancy only ever increases.
+
+    Trap i has kind `KINDS[kinds[i]]` and shifts the gate by `couplings[i]`
+    (V) once filled; `captured` holds the filled traps in capture order."""
+
+    couplings: np.ndarray
+    kinds: np.ndarray
+    captured: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.coupling <= 0:
-            raise ValueError("trap coupling must be > 0")
-
-
-@dataclass
-class TrapEnsemble:
-    """All traps of one device instance; occupancy only ever increases."""
-
-    traps: list[Trap]
-    rng_seed: int = 0
+        self.couplings, kinds = np.asarray(self.couplings, dtype=float), np.asarray(self.kinds)
+        if self.couplings.ndim != 1 or self.couplings.shape != kinds.shape:
+            raise ValueError("couplings and kinds must be 1-d arrays of equal length")
+        if not np.all(np.isfinite(self.couplings) & (self.couplings > 0)):
+            raise ValueError("trap couplings must be finite and > 0")
+        if not np.all((kinds >= 0) & (kinds < len(KINDS))):
+            raise ValueError(f"trap kind codes must index {KINDS}")
+        self.kinds = kinds.astype(np.int8)
 
     @property
     def occupied_count(self) -> int:
-        return sum(1 for t in self.traps if t.occupied)
-
-    def unoccupied(self, kinds) -> list[int]:
-        return [i for i, t in enumerate(self.traps)
-                if not t.occupied and t.kind in kinds]
+        return len(self.captured)
 
     def dopant_couplings(self) -> np.ndarray:
-        return np.array([t.coupling for t in self.traps if t.kind in _DOPANT_KINDS])
+        return self.couplings[self.kinds != _BUFFER_CODE]
 
 
 def build_ensemble(config: TrapConfig, seed: int) -> TrapEnsemble:
@@ -161,25 +163,24 @@ def build_ensemble(config: TrapConfig, seed: int) -> TrapEnsemble:
     Dopant couplings come from the configured distribution with mean
     saturation_gate_shift / count; buffer couplings are uniform in
     (0.2, 1.0) x buffer_coupling_scale, so every buffer coupling stays at
-    or below the scale.  All traps start unoccupied.
+    or below the scale.  All traps start unoccupied.  Over `MAX_SAMPLES`
+    traps in all is a ValueError, before any draw.
     """
+    n, buffer = config.dopant_trap_count, config.buffer_trap_count
+    if n + buffer > MAX_SAMPLES:
+        raise ValueError(f"dopant + buffer trap count must be <= {MAX_SAMPLES}, got {n + buffer}")
     rng = np.random.default_rng(seed)
-    n = config.dopant_trap_count
     mean = config.mean_dopant_coupling
     if config.coupling_distribution == "exponential":
-        couplings = rng.exponential(mean, n)
         # exponential draws are > 0 with probability 1, but guard exactly
-        couplings = np.maximum(couplings, 1e-300)
+        couplings = np.maximum(rng.exponential(mean, n), 1e-300)
     else:
         couplings = np.full(n, mean)
-    kinds = rng.choice([DX_CENTER, NEUTRAL_DONOR], size=n)
-
-    traps = [Trap(kind=str(k), coupling=float(c)) for k, c in zip(kinds, couplings)]
-    buffer_couplings = config.buffer_coupling_scale * rng.uniform(
-        0.2, 1.0, config.buffer_trap_count
-    )
-    traps.extend(Trap(kind=BUFFER_MICRO, coupling=float(c)) for c in buffer_couplings)
-    return TrapEnsemble(traps=traps, rng_seed=seed)
+    kinds = rng.choice(2, size=n)  # codes of DX_CENTER, NEUTRAL_DONOR
+    buffer_couplings = config.buffer_coupling_scale * rng.uniform(0.2, 1.0, buffer)
+    return TrapEnsemble(
+        np.concatenate([couplings, buffer_couplings]),
+        np.concatenate([kinds, np.full(buffer, _BUFFER_CODE)]))
 
 
 def absorption_target(wavelength: float) -> str:
@@ -201,23 +202,24 @@ def absorption_target(wavelength: float) -> str:
 
 def free_traps(ensemble: TrapEnsemble, layer: str,
                include_buffer_with_barrier: bool = False) -> list[int]:
-    """Indices of the empty traps a photon absorbed in `layer` can fill, in list order."""
+    """Indices of the empty traps a photon absorbed in `layer` can fill, in index order."""
     if layer == LAYER_BARRIER:
-        kinds = _DOPANT_KINDS + ((BUFFER_MICRO,) if include_buffer_with_barrier else ())
+        eligible = (ensemble.kinds != _BUFFER_CODE) | include_buffer_with_barrier
     elif layer == LAYER_BUFFER:
-        kinds = (BUFFER_MICRO,)
+        eligible = ensemble.kinds == _BUFFER_CODE
     else:
         raise ValueError(f"no capture possible in layer {layer!r}")
-    return ensemble.unoccupied(kinds)
+    eligible[ensemble.captured] = False
+    return np.flatnonzero(eligible).tolist()
 
 
 def capture_photon(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
                    include_buffer_with_barrier: bool = False,
-                   free: list[int] | None = None) -> Trap | None:
+                   free: list[int] | None = None) -> int | None:
     """Capture one photo-hole at a uniformly chosen eligible empty trap.
 
-    Returns the newly occupied trap, or None once every eligible trap is
-    already filled (saturation of the photoresponse; not an error).
+    Returns the newly occupied trap's index, or None once every eligible
+    trap is already filled (saturation of the photoresponse; not an error).
     `free`, from `free_traps`, spares the scan: the trap is drawn from it
     and removed from it, so it stays exact while only these calls fill
     traps.
@@ -226,20 +228,20 @@ def capture_photon(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
         free = free_traps(ensemble, layer, include_buffer_with_barrier)
     if not free:
         return None
-    trap = ensemble.traps[free.pop(rng.integers(len(free)))]
-    trap.occupied = True
-    return trap
+    index = free.pop(rng.integers(len(free)))
+    ensemble.captured.append(index)
+    return index
 
 
 def capture_photons(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
-                    count: int, include_buffer_with_barrier: bool = False) -> list[Trap]:
+                    count: int, include_buffer_with_barrier: bool = False) -> list[int]:
     """Capture up to `count` photo-holes, each at a uniformly chosen empty trap.
 
-    Returns the newly occupied traps in capture order; the list is shorter
-    than `count` once every eligible trap is filled (saturation, not an
-    error), and no draw is made past that point.  One scan serves every
-    `capture_photon` call; the calls pick the same traps, and leave `rng`
-    in the same state, as calls that each rescan the ensemble.
+    Returns the newly occupied traps' indices in capture order; the list is
+    shorter than `count` once every eligible trap is filled (saturation,
+    not an error), and no draw is made past that point.  One scan serves
+    every `capture_photon` call; the calls pick the same traps, and leave
+    `rng` in the same state, as calls that each rescan the ensemble.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -259,5 +261,5 @@ def cumulative_gate_shift(initial: float, couplings) -> np.ndarray:
 
 
 def effective_gate_shift(ensemble: TrapEnsemble) -> float:
-    """Summed gate-shift equivalent (V) of all occupied traps."""
-    return float(sum(t.coupling for t in ensemble.traps if t.occupied))
+    """Gate-shift equivalent (V) of all occupied traps, summed left to right in capture order."""
+    return float(cumulative_gate_shift(0.0, ensemble.couplings[ensemble.captured])[-1])

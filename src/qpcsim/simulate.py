@@ -124,15 +124,13 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
     # charge trapped in earlier runs persists: start from the current shift;
     # the first k absorbed photons fill the k traps, later ones change nothing
     initial_shift = effective_gate_shift(ensemble)
-    traps = capture_photons(
-        ensemble, layer, rng, absorbed.size,
-        include_buffer_with_barrier=config.barrier_includes_buffer,
-    ) if absorbed.size else []
-    couplings = [trap.coupling for trap in traps]
+    captured = capture_photons(ensemble, layer, rng, absorbed.size,
+                               config.barrier_includes_buffer) if absorbed.size else []
+    couplings = ensemble.couplings[captured]
     levels = cumulative_gate_shift(initial_shift, couplings)
-    event_times = absorbed[:len(traps)]
-    events = [TruthEvent(float(t), c, float(s))
-              for t, c, s in zip(event_times, couplings, levels[1:])]
+    event_times = absorbed[:len(captured)]
+    events = [TruthEvent(*fields) for fields in zip(
+        event_times.tolist(), couplings.tolist(), levels[1:].tolist())]
 
     times = _sample_times(config)
     idx = np.searchsorted(event_times, times, side="right")
@@ -163,15 +161,8 @@ def simulate_gate_sweep(device: DeviceParams, v_start: float, v_end: float,
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         g = g + rng.normal(0.0, noise_sigma, g.size)
-    cfg = {
-        "kind": "sweep",
-        "v_start": v_start,
-        "v_end": v_end,
-        "n_points": n_points,
-        "noise_sigma": noise_sigma,
-        "seed": seed,
-    }
-    cfg.update(_device_snapshot(device))
+    cfg = {"kind": "sweep", "v_start": v_start, "v_end": v_end, "n_points": n_points,
+           "noise_sigma": noise_sigma, "seed": seed, **_device_snapshot(device)}
     return Trace(GATE_AXIS, curve.times, g, config=cfg)
 
 

@@ -1,11 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import qpcsim
 from qpcsim.analyze import (
     StepEvent,
+    _median,
     analyze_trace,
     correlate_heights,
     detect_steps,
@@ -109,6 +117,34 @@ def test_noise_estimate_recovers_sigma():
     x = rng.normal(0, 0.005, 20_000)
     assert estimate_noise_sigma(x) == pytest.approx(0.005, rel=0.05)
     assert estimate_noise_sigma(np.full(100, 2.0)) == 0.0
+
+
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.0, -2.5])
+
+
+@settings(max_examples=300, derandomize=True)
+@example([-0.0])
+@example([-0.0, -0.0, 0.0, -0.0])
+@example([1e300, 1e300, -1e-300])
+@given(st.lists(_EDGE_VALUES | st.floats(-1e300, 1e300), min_size=1, max_size=40))
+def test_median_equals_numpy_median_bit_for_bit(values):
+    x = np.array(values)
+    assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+
+
+def test_analyze_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma (~15 ms) on first use; analyze never calls it
+    from qpcsim.cli import main
+    assert main(["expose", "--duration", "600", "--out", str(tmp_path)]) == 0
+    code = ("import sys; from qpcsim.cli import main; "
+            f"code = main(['analyze', {str(tmp_path / 'exposure_trace.csv')!r}, "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(qpcsim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_detector_recall_and_precision_on_strong_steps():

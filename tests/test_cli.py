@@ -441,6 +441,16 @@ def test_overflowing_dopant_count_exits_2(tmp_path, capsys):
     assert not (tmp_path / "exposure_trace.csv").exists()
 
 
+def test_oversized_trap_count_exits_2_naming_the_total(tmp_path, capsys):
+    # used to exit 1 with a failed ~745 GiB allocation in build_ensemble
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("traps.buffer_trap_count=100000000000\n")
+    out = tmp_path / "out"
+    assert main(["expose", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "trap count must be <= 10000000, got 100000000099" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_second_events_section_exits_2(tmp_path, short_trace, capsys):
     lines = short_trace.read_text().splitlines()
     start = lines.index("events")
