@@ -15,6 +15,7 @@ The package composes four layers:
 """
 
 from .analyze import (
+    AnalysisConfig,
     AnalysisReport,
     IntervalFit,
     StepEvent,
@@ -62,7 +63,7 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport", "IntervalFit", "StepEvent", "analyze_trace",
+    "AnalysisConfig", "AnalysisReport", "IntervalFit", "StepEvent", "analyze_trace",
     "correlate_heights", "detect_steps", "estimate_noise_sigma",
     "fit_exponential", "interval_histogram", "saturation_summary",
     "PhotonSource", "TrapConfig", "TrapEnsemble", "absorption_target",

@@ -26,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .simulate import csv_text
+from .simulate import csv_text, device_from_config
 from .transport import TIME_AXIS, DeviceParams, Trace, conductance, transconductance
 
 DEFAULT_WINDOW = 12
@@ -47,14 +48,21 @@ _MAD_TO_SIGMA = 0.6744897501960817  # Phi^-1(0.75): MAD -> sigma for a Gaussian
 
 
 @dataclass(frozen=True)
-class StepEvent:
+class AnalysisConfig:
+    """What counts as a step, and how its intervals are binned."""
+
+    window: int = DEFAULT_WINDOW          # detector window, samples
+    threshold: float = DEFAULT_THRESHOLD  # detection threshold, noise SEs
+    bin_width: float = 0.0                # histogram bin, s; 0 = fitted mean interval / 3
+
+
+class StepEvent(NamedTuple):
     time: float        # s
     height: float      # conductance jump, units of 2e^2/h (> 0)
     confidence: float  # detection statistic in units of its noise SE
 
 
-@dataclass(frozen=True)
-class IntervalFit:
+class IntervalFit(NamedTuple):
     event_count: int        # number of events behind the fit (intervals + 1)
     mean_interval: float    # s
     rate: float             # 1/s, = 1/mean_interval
@@ -135,12 +143,10 @@ def detect_steps(trace: Trace, window: int = DEFAULT_WINDOW,
         else:
             accepted.append(int(c))
 
-    steps = []
-    for c in accepted:
-        conf = float(d[c] / se) if se > 0 else math.inf
-        steps.append(StepEvent(time=float(trace.times[boundaries[c]]),
-                               height=float(d[c]), confidence=conf))
-    return steps
+    heights = d[accepted]
+    conf = heights / se if se > 0 else np.full(heights.size, math.inf)
+    return list(map(StepEvent, trace.times[boundaries[accepted]].tolist(),
+                    heights.tolist(), conf.tolist()))
 
 
 def interval_histogram(events: list[StepEvent], bin_width: float):
@@ -159,11 +165,11 @@ def interval_histogram(events: list[StepEvent], bin_width: float):
     return starts, counts
 
 
-def interval_statistics(events, bin_width: float | None = None):
+def interval_statistics(events, bin_width: float = 0.0):
     """Exponential fit and histogram of the intervals between successive events.
 
     `events` are anything with a `.time` (detected steps or truth events).
-    The histogram bin defaults to a third of the fitted mean interval.
+    A `bin_width` of 0 bins by a third of the fitted mean interval.
     Returns (fit, (bin starts, counts)), or (None, ()) below three events.
     """
     if len(events) < 3:
@@ -325,14 +331,10 @@ def saturation_summary(steps: list[StepEvent], trace: Trace,
 
 
 def analyze_trace(trace: Trace, device: DeviceParams | None = None,
-                  window: int = DEFAULT_WINDOW,
-                  threshold: float = DEFAULT_THRESHOLD,
-                  bin_width: float | None = None) -> AnalysisReport:
+                  config: AnalysisConfig = AnalysisConfig()) -> AnalysisReport:
     """Full analysis pipeline: detection, interval fit, correlation, saturation."""
-    from .simulate import device_from_config
-
-    if bin_width is not None and not 0.0 < bin_width < math.inf:
-        raise ValueError(f"bin_width must be finite and > 0, got {bin_width!r}")
+    if not 0.0 <= config.bin_width < math.inf:
+        raise ValueError(f"bin_width must be finite and >= 0, got {config.bin_width!r}")
     if device is None:
         try:
             device = device_from_config(trace.config)
@@ -340,11 +342,11 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
             raise ValueError(
                 "trace header carries no device parameters; pass device="
             ) from exc
-    steps = detect_steps(trace, window=window, threshold=threshold)
+    steps = detect_steps(trace, window=config.window, threshold=config.threshold)
 
-    fit, histogram = interval_statistics(steps, bin_width)
+    fit, histogram = interval_statistics(steps, config.bin_width)
     if len(steps) >= 3:
-        r, implied, trans = correlate_heights(steps, trace, device, window=window)
+        r, implied, trans = correlate_heights(steps, trace, device, window=config.window)
         status = "undefined" if math.isnan(r) else "ok"
     else:
         r, implied, trans = math.nan, [math.nan] * len(steps), [math.nan] * len(steps)
@@ -355,7 +357,7 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
         steps=steps, interval_fit=fit, height_correlation=r,
         implied_couplings=implied, transconductances=trans,
         saturation_detected=saturated, total_conductance_rise=rise,
-        correlation_status=status, window=window, threshold=threshold,
+        correlation_status=status, window=config.window, threshold=config.threshold,
         histogram=histogram,
     )
 
@@ -379,8 +381,7 @@ def report_to_text(report: AnalysisReport) -> str:
           report.implied_couplings)),
         ("[intervals]", "bin_start_s,count", report.histogram),
         ("[fit]", "event_count,mean_interval_s,rate_per_s,ks_statistic",
-         () if fit is None else
-         [[v] for v in (fit.event_count, fit.mean_interval, fit.rate, fit.ks_statistic)]),
+         () if fit is None else [[v] for v in fit]),
         ("[correlation]", "pearson_r,n_used,mean_implied_coupling_V,status",
          [[v] for v in (report.height_correlation, len(valid), mean_implied,
                         report.correlation_status)]),

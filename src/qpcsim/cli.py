@@ -25,7 +25,7 @@ import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .analyze import analyze_trace, interval_statistics, report_to_text
+from .analyze import AnalysisConfig, analyze_trace, interval_statistics, report_to_text
 from .charge import PhotonSource, TrapConfig, build_ensemble
 from .simulate import (
     ExposureConfig,
@@ -65,9 +65,7 @@ class RunConfig:
     traps: TrapConfig
     source: PhotonSource
     exposure: ExposureConfig
-    window: int = 12
-    threshold: float = 4.0
-    bin_width: float = 0.0   # 0 = automatic (fitted mean interval / 3)
+    analysis: AnalysisConfig = AnalysisConfig()
     seed: int = 1
 
 
@@ -86,6 +84,7 @@ def subseed(master: int, tag: str) -> int:
 # ---------------------------------------------------------------------------
 
 _SECTIONS = {
+    "analysis": AnalysisConfig,
     "device": DeviceParams,
     "traps": TrapConfig,
     "source": PhotonSource,
@@ -94,8 +93,6 @@ _SECTIONS = {
 
 # exposure.seed is derived from the master seed at run time, never configured
 _HIDDEN = {("exposure", "seed")}
-
-_ANALYSIS_KEYS = {"window": int, "threshold": float, "bin_width": float}
 
 
 def _coerce(key: str, raw: str, typ):
@@ -113,10 +110,8 @@ def _coerce(key: str, raw: str, typ):
 
 def parse_config(text: str) -> RunConfig:
     section_values: dict[str, dict] = {name: {} for name in _SECTIONS}
-    analysis: dict = {}
     seed = 1
     hints = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
-    known = {name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -130,12 +125,7 @@ def parse_config(text: str) -> RunConfig:
             seed = _coerce(key, value, int)
             continue
         prefix, _, name = key.partition(".")
-        if prefix == "analysis":
-            if name not in _ANALYSIS_KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            analysis[name] = _coerce(key, value, _ANALYSIS_KEYS[name])
-            continue
-        if prefix not in _SECTIONS or name not in known[prefix]:
+        if prefix not in _SECTIONS or name not in hints[prefix]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if (prefix, name) in _HIDDEN:
             raise ConfigError(f"line {lineno}: {key!r} is derived from the master seed")
@@ -147,17 +137,14 @@ def parse_config(text: str) -> RunConfig:
             built[name] = cls(**section_values[name])
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    return RunConfig(device=built["device"], traps=built["traps"],
-                     source=built["source"], exposure=built["exposure"],
-                     seed=seed, **analysis)
+    return RunConfig(seed=seed, **built)
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    items = [("seed", cfg.seed)]
-    items += [(f"analysis.{key}", getattr(cfg, key)) for key in _ANALYSIS_KEYS]
-    items += [(f"{name}.{f.name}", getattr(getattr(cfg, name), f.name))
-              for name, cls in _SECTIONS.items() for f in fields(cls)
-              if (name, f.name) not in _HIDDEN]
+    items = [("seed", cfg.seed)] + [
+        (f"{name}.{f.name}", getattr(getattr(cfg, name), f.name))
+        for name, cls in _SECTIONS.items() for f in fields(cls)
+        if (name, f.name) not in _HIDDEN]
     return "".join(f"{key}={fmt(value)}\n" for key, value in items)
 
 
@@ -230,8 +217,7 @@ def cmd_expose(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 
 
 def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    report = analyze_trace(read_trace(args.trace), window=cfg.window,
-                           threshold=cfg.threshold, bin_width=cfg.bin_width or None)
+    report = analyze_trace(read_trace(args.trace), config=cfg.analysis)
     path = args.out / "analysis_report.txt"
     _atomic_write(path, report_to_text(report))
     return [path]
@@ -250,17 +236,14 @@ def cmd_reproduce_figures(cfg: RunConfig, args: argparse.Namespace) -> list[Path
     gate_curve = sweep(v0, v1, DEFAULT_SWEEP_POINTS, device)
     trace = _run_exposure(cfg)
     remap = exposure_to_gate_equivalence(trace, device)
-    report = analyze_trace(trace, device=device, window=cfg.window,
-                           threshold=cfg.threshold,
-                           bin_width=cfg.bin_width or None)
+    report = analyze_trace(trace, device, cfg.analysis)
 
     # interval statistics from the run's event log (model ground truth);
     # the detector's version of the same quantities lives in the report
     header = {}
-    configured = cfg.source.incident_rate * cfg.source.quantum_efficiency
-    if configured > 0:
-        header["configured_mean_interval_s"] = 1.0 / configured
-    fit, histogram = interval_statistics(trace.truth_events or [], cfg.bin_width or None)
+    if cfg.source.detected_rate > 0:
+        header["configured_mean_interval_s"] = 1.0 / cfg.source.detected_rate
+    fit, histogram = interval_statistics(trace.truth_events or [], cfg.analysis.bin_width)
     if fit is not None:
         header.update(fit_mean_interval_s=fit.mean_interval, fit_rate_per_s=fit.rate,
                       ks_statistic=fit.ks_statistic)

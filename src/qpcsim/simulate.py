@@ -41,9 +41,6 @@ from .transport import (
     sweep,
 )
 
-# an exposure's name for the sample cap every trace shares
-MAX_EXPOSURE_SAMPLES = MAX_SAMPLES
-
 
 @dataclass(frozen=True)
 class ExposureConfig:
@@ -70,13 +67,19 @@ class ExposureConfig:
             raise ValueError("noise_sigma must be >= 0")
 
 
-@dataclass(frozen=True)
-class TruthEvent:
+class TruthEvent(typing.NamedTuple):
     """One successful capture: when, how strongly it gates the channel."""
 
     time: float          # s
     coupling: float      # V
     gate_shift_after: float  # V, cumulative shift including this event
+
+
+def _capture_log(initial_shift: float, event_times: np.ndarray, couplings: np.ndarray):
+    """A capture log's shift levels (initial, then after each capture) and its TruthEvents."""
+    levels = cumulative_gate_shift(initial_shift, couplings)
+    return levels, list(map(TruthEvent, event_times.tolist(), couplings.tolist(),
+                            levels[1:].tolist()))
 
 
 def poisson_event_times(rate: float, duration: float,
@@ -126,11 +129,8 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
     initial_shift = effective_gate_shift(ensemble)
     captured = capture_photons(ensemble, layer, rng, absorbed.size,
                                config.barrier_includes_buffer) if absorbed.size else []
-    couplings = ensemble.couplings[captured]
-    levels = cumulative_gate_shift(initial_shift, couplings)
     event_times = absorbed[:len(captured)]
-    events = [TruthEvent(*fields) for fields in zip(
-        event_times.tolist(), couplings.tolist(), levels[1:].tolist())]
+    levels, events = _capture_log(initial_shift, event_times, ensemble.couplings[captured])
 
     times = _sample_times(config)
     idx = np.searchsorted(event_times, times, side="right")
@@ -225,10 +225,19 @@ def _device_snapshot(device: DeviceParams) -> dict:
 
 
 def device_from_config(config: dict) -> DeviceParams:
-    """Rebuild DeviceParams from a trace-header snapshot."""
-    types = typing.get_type_hints(DeviceParams)
-    return DeviceParams(**{f.name: types[f.name](config[f"device_{f.name}"])
-                           for f in fields(DeviceParams)})
+    """Rebuild DeviceParams from a trace-header snapshot.
+
+    A bool field takes only a bool, an int field an int, a float field an
+    int or a float.
+    """
+    accepted = {bool: bool, int: int, float: (int, float)}
+    values = {}
+    for name, typ in typing.get_type_hints(DeviceParams).items():
+        value = config[f"device_{name}"]
+        if isinstance(value, bool) != (typ is bool) or not isinstance(value, accepted[typ]):
+            raise ValueError(f"device_{name} must be {typ.__name__}, got {value!r}")
+        values[name] = typ(value)
+    return DeviceParams(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +391,8 @@ def trace_from_text(text: str) -> Trace:
     times, values = np.concatenate(blocks["samples"]).T.copy()
     events = None
     if blocks["events"] is not None:
-        event_times, couplings = np.concatenate(blocks["events"]).T
-        levels = cumulative_gate_shift(
-            float(config.get("initial_gate_shift", 0.0)), couplings)
-        events = [TruthEvent(*fields) for fields in zip(
-            event_times.tolist(), couplings.tolist(), levels[1:].tolist())]
+        _, events = _capture_log(float(config.get("initial_gate_shift", 0.0)),
+                                 *np.concatenate(blocks["events"]).T)
 
     return Trace(axis_kind, times, values, events, config,
                  photons_incident=incident, photons_absorbed=absorbed)

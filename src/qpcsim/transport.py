@@ -147,6 +147,11 @@ class Trace:
             raise ValueError("trace samples must be finite (no NaN or inf)")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("sample positions must be strictly increasing")
+        if self.axis_kind not in (GATE_AXIS, TIME_AXIS):
+            raise ValueError(f"axis must be {GATE_AXIS} or {TIME_AXIS}, got {self.axis_kind!r}")
+        for name in ("photons_incident", "photons_absorbed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     def __len__(self) -> int:
         return self.times.size

@@ -40,7 +40,7 @@ def test_config_roundtrip_with_custom_values():
     assert cfg.device.temperature == 1.7
     assert cfg.traps.buffer_trap_count == 500
     assert cfg.exposure.barrier_includes_buffer is True
-    assert cfg.window == 8
+    assert cfg.analysis.window == 8
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -397,6 +397,7 @@ def test_all_flags_together_write_the_same_files_as_their_config_lines(
     ("analyze", "--threshold", "nan"),
     ("analyze", "--bin-width", "inf"),
     ("analyze", "--bin-width", "nan"),
+    ("analyze", "--bin-width", "-1"),
 ])
 def test_bad_flag_or_config_value_exits_2_naming_the_key(tmp_path, short_trace, capsys,
                                                          command, flag, value):
@@ -484,4 +485,29 @@ def test_analyze_bad_bin_width_on_a_dark_trace_exits_2(tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "exposure_trace.csv"), "--bin-width",
                      value, "--out", str(out)]) == 2
         assert "bin_width" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("device_anomaly_enabled", "False"),  # not the writer's `false`: a string
+    ("device_anomaly_enabled", "no"),
+    ("device_anomaly_enabled", "1"),
+    ("device_num_modes", "2.5"),
+    ("device_num_modes", "true"),
+    ("device_temperature", "true"),
+    ("photons_incident", "-7"),
+    ("photons_absorbed", "-1"),
+    ("axis", "sideways"),
+])
+def test_analyze_mistyped_trace_header_exits_2_naming_the_key(tmp_path, short_trace,
+                                                              capsys, key, value):
+    lines = short_trace.read_text().splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith(f"# {key}=")]
+    assert len(at) == 1
+    lines[at[0]] = f"# {key}={value}"
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--out", str(out)]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
     assert not out.exists()

@@ -13,11 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpcsim.analyze import AnalysisReport, IntervalFit, StepEvent, report_to_text
+from qpcsim.analyze import AnalysisConfig, AnalysisReport, IntervalFit, StepEvent, report_to_text
 from qpcsim.charge import PhotonSource, TrapConfig, cumulative_gate_shift
 from qpcsim.cli import RunConfig, main, parse_config, serialize_config
 from qpcsim.simulate import (
-    MAX_EXPOSURE_SAMPLES,
     ExposureConfig,
     Trace,
     TruthEvent,
@@ -27,7 +26,7 @@ from qpcsim.simulate import (
     trace_from_text,
     trace_to_text,
 )
-from qpcsim.transport import GATE_AXIS, TIME_AXIS, DeviceParams
+from qpcsim.transport import GATE_AXIS, MAX_SAMPLES, TIME_AXIS, DeviceParams
 
 EXPOSURE_CONFIG = {
     "kind": "exposure", "seed": 17516981595989274400, "gate_bias": -1.5,
@@ -251,7 +250,7 @@ def exposures(draw):
     duration = draw(st.floats(0.0, 1e300, exclude_min=True))
     dark_lead = draw(st.floats(0.0, 1e300))
     # at least twice the shortest interval the sample cap allows
-    shortest = max(2.0 * (duration + dark_lead) / MAX_EXPOSURE_SAMPLES, 1e-300)
+    shortest = max(2.0 * (duration + dark_lead) / MAX_SAMPLES, 1e-300)
     return ExposureConfig(duration=duration, dark_lead=dark_lead,
                           sample_interval=draw(st.floats(shortest, 1e300)),
                           gate_bias=draw(finite), noise_sigma=draw(non_negative),
@@ -275,7 +274,9 @@ run_configs = st.builds(
     source=st.builds(PhotonSource, wavelength=positive, incident_rate=non_negative,
                      quantum_efficiency=st.floats(0.0, 1.0)),
     exposure=exposures(),
-    window=st.integers(), threshold=finite, bin_width=finite, seed=st.integers(),
+    analysis=st.builds(AnalysisConfig, window=st.integers(), threshold=finite,
+                       bin_width=finite),
+    seed=st.integers(),
 )
 
 

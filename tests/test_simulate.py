@@ -9,7 +9,6 @@ from scipy import stats
 
 from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble
 from qpcsim.simulate import (
-    MAX_EXPOSURE_SAMPLES,
     ExposureConfig,
     Trace,
     add_telegraph_signal,
@@ -23,6 +22,7 @@ from qpcsim.simulate import (
 )
 from qpcsim.transport import (
     GATE_AXIS,
+    MAX_SAMPLES,
     TIME_AXIS,
     DeviceParams,
     conductance,
@@ -384,9 +384,9 @@ def test_every_float_config_field_must_be_finite(cls, bad):
 
 
 def test_exposure_sample_count_is_capped():
-    ExposureConfig(dark_lead=0.0, duration=float(MAX_EXPOSURE_SAMPLES), sample_interval=1.0)
+    ExposureConfig(dark_lead=0.0, duration=float(MAX_SAMPLES), sample_interval=1.0)
     with pytest.raises(ValueError, match="sample_interval"):
-        ExposureConfig(dark_lead=1.0, duration=float(MAX_EXPOSURE_SAMPLES),
+        ExposureConfig(dark_lead=1.0, duration=float(MAX_SAMPLES),
                        sample_interval=1.0)
     with pytest.raises(ValueError, match="sample_interval"):
         ExposureConfig(sample_interval=5e-324)
