@@ -339,9 +339,7 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
         try:
             device = device_from_config(trace.config)
         except KeyError as exc:
-            raise ValueError(
-                "trace header carries no device parameters; pass device="
-            ) from exc
+            raise ValueError(f"trace header lacks {exc.args[0]}") from None
     steps = detect_steps(trace, window=config.window, threshold=config.threshold)
 
     fit, histogram = interval_statistics(steps, config.bin_width)

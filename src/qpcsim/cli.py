@@ -9,7 +9,8 @@ Rerunning a command with the same config and seed rewrites byte-identical
 files; output files are written atomically (temp file + rename).  A flag
 that sets a config value (--seed, --wavelength, --duration, the --noise of
 expose and reproduce-figures, --window, --threshold, --bin-width) is read
-as one more key=value line after the config file's text.
+as one more key=value line after the config file's text.  Every value is
+read by the rule trace headers use, `simulate.typed` over `_parse_value`.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 I/O error.
 """
@@ -29,6 +30,7 @@ from .analyze import AnalysisConfig, analyze_trace, interval_statistics, report_
 from .charge import PhotonSource, TrapConfig, build_ensemble
 from .simulate import (
     ExposureConfig,
+    _parse_value,
     csv_text,
     exposure_to_gate_equivalence,
     fmt,
@@ -36,6 +38,7 @@ from .simulate import (
     simulate_exposure,
     simulate_gate_sweep,
     trace_to_text,
+    typed,
 )
 from .transport import (
     GATE_AXIS,
@@ -95,41 +98,31 @@ _SECTIONS = {
 _HIDDEN = {("exposure", "seed")}
 
 
-def _coerce(key: str, raw: str, typ):
-    if typ is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    try:
-        return typ(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {typ.__name__}") from exc
-
-
 def parse_config(text: str) -> RunConfig:
     section_values: dict[str, dict] = {name: {} for name in _SECTIONS}
     seed = 1
     hints = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "seed":
-            seed = _coerce(key, value, int)
-            continue
-        prefix, _, name = key.partition(".")
-        if prefix not in _SECTIONS or name not in hints[prefix]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if (prefix, name) in _HIDDEN:
-            raise ConfigError(f"line {lineno}: {key!r} is derived from the master seed")
-        section_values[prefix][name] = _coerce(key, value, hints[prefix][name])
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), _parse_value(value.strip())
+            if key == "seed":
+                seed = typed(key, value, int)
+                continue
+            prefix, _, name = key.partition(".")
+            if prefix not in _SECTIONS or name not in hints[prefix]:
+                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if (prefix, name) in _HIDDEN:
+                raise ConfigError(f"line {lineno}: {key!r} is derived from the master seed")
+            section_values[prefix][name] = typed(key, value, hints[prefix][name])
+    except ValueError as exc:  # a value of the wrong type
+        raise ConfigError(str(exc)) from exc
 
     built = {}
     for name, cls in _SECTIONS.items():

@@ -117,6 +117,10 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
     A fully saturated (or absorbing-nowhere) configuration yields a valid
     flat trace with an empty event log.
     """
+    expected = source.incident_rate * config.duration
+    if expected > MAX_SAMPLES:
+        raise ValueError(f"incident_rate * duration must be <= {MAX_SAMPLES} expected "
+                         f"photons, got {expected!r}")
     rng = np.random.default_rng(config.seed)
     layer = absorption_target(source.wavelength)
 
@@ -178,8 +182,9 @@ def exposure_to_gate_equivalence(trace: Trace,
         raise ValueError("trace carries no truth events; cannot remap")
     if trace.axis_kind != TIME_AXIS:
         raise ValueError("only time-axis exposure traces can be remapped")
-    gate_bias = float(trace.config.get("gate_bias", 0.0))
-    initial_shift = float(trace.config.get("initial_gate_shift", 0.0))
+    gate_bias = typed("gate_bias", trace.config.get("gate_bias", 0.0), float)
+    initial_shift = typed("initial_gate_shift", trace.config.get("initial_gate_shift", 0.0),
+                          float)
 
     event_times = np.array([e.time for e in trace.truth_events])
     shift_after = np.array([e.gate_shift_after for e in trace.truth_events])
@@ -225,19 +230,9 @@ def _device_snapshot(device: DeviceParams) -> dict:
 
 
 def device_from_config(config: dict) -> DeviceParams:
-    """Rebuild DeviceParams from a trace-header snapshot.
-
-    A bool field takes only a bool, an int field an int, a float field an
-    int or a float.
-    """
-    accepted = {bool: bool, int: int, float: (int, float)}
-    values = {}
-    for name, typ in typing.get_type_hints(DeviceParams).items():
-        value = config[f"device_{name}"]
-        if isinstance(value, bool) != (typ is bool) or not isinstance(value, accepted[typ]):
-            raise ValueError(f"device_{name} must be {typ.__name__}, got {value!r}")
-        values[name] = typ(value)
-    return DeviceParams(**values)
+    """Rebuild DeviceParams from a trace-header snapshot, each value by `typed`."""
+    return DeviceParams(**{name: typed(f"device_{name}", config[f"device_{name}"], typ)
+                           for name, typ in typing.get_type_hints(DeviceParams).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +306,22 @@ def _parse_value(text: str):
         return text
 
 
+_ACCEPTED = {bool: bool, int: int, float: (int, float), str: str}
+
+
+def typed(key: str, value, typ):
+    """`value` as a field of type `typ`: a bool only for bool, a non-bool int
+    for int, an int or a float for float, a str for str.  Anything else (or
+    an int past the float range) raises ValueError naming `key`.
+    """
+    if isinstance(value, bool) == (typ is bool) and isinstance(value, _ACCEPTED[typ]):
+        try:
+            return typ(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{key} must be {typ.__name__}, got {value!r}")
+
+
 def trace_to_text(trace: Trace) -> str:
     header = {"axis": trace.axis_kind}
     header.update((key, trace.config[key]) for key in sorted(trace.config))
@@ -348,9 +359,7 @@ def _data_rows(lines: list[str], first_lineno: int) -> np.ndarray:
 
 
 def trace_from_text(text: str) -> Trace:
-    axis_kind = TIME_AXIS
-    config: dict = {}
-    incident = absorbed = 0
+    header: dict = {}
     no_rows = np.empty((0, 2))
     blocks = {"samples": [no_rows], "events": None}  # section -> its parsed runs of rows
     section, run, first = "samples", [], 0
@@ -373,28 +382,22 @@ def trace_from_text(text: str) -> Trace:
             if "=" not in body:
                 continue
             key, _, val = body.partition("=")
-            key = key.strip()
-            parsed = _parse_value(val.strip())
-            if key == "axis":
-                axis_kind = str(parsed)
-            elif key == "photons_incident":
-                incident = int(parsed)
-            elif key == "photons_absorbed":
-                absorbed = int(parsed)
-            else:
-                config[key] = parsed
+            header[key.strip()] = _parse_value(val.strip())
         elif line == "events":
             if blocks["events"] is not None:
                 raise ValueError("trace file has more than one events section")
             section, blocks["events"] = "events", [no_rows]
 
+    axis_kind = header.pop("axis", TIME_AXIS)
+    incident, absorbed = (typed(key, header.pop(key, 0), int)
+                          for key in ("photons_incident", "photons_absorbed"))
     times, values = np.concatenate(blocks["samples"]).T.copy()
     events = None
     if blocks["events"] is not None:
-        _, events = _capture_log(float(config.get("initial_gate_shift", 0.0)),
-                                 *np.concatenate(blocks["events"]).T)
+        initial_shift = typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
+        _, events = _capture_log(initial_shift, *np.concatenate(blocks["events"]).T)
 
-    return Trace(axis_kind, times, values, events, config,
+    return Trace(axis_kind, times, values, events, header,
                  photons_incident=incident, photons_absorbed=absorbed)
 
 

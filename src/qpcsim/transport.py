@@ -150,8 +150,9 @@ class Trace:
         if self.axis_kind not in (GATE_AXIS, TIME_AXIS):
             raise ValueError(f"axis must be {GATE_AXIS} or {TIME_AXIS}, got {self.axis_kind!r}")
         for name in ("photons_incident", "photons_absorbed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {count!r}")
 
     def __len__(self) -> int:
         return self.times.size

@@ -49,8 +49,13 @@ def test_config_rejects_unknown_and_malformed_keys():
         parse_config("device.unknown_knob=3")
     with pytest.raises(ConfigError):
         parse_config("just a line")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^device.temperature must be float, got 'warm'$"):
         parse_config("device.temperature=warm")
+    # a bool is spelled true or false, as the writers spell it
+    with pytest.raises(ConfigError, match="^exposure.barrier_includes_buffer must be bool"):
+        parse_config("exposure.barrier_includes_buffer=yes")
+    with pytest.raises(ConfigError, match="^device.anomaly_enabled must be bool, got 1$"):
+        parse_config("device.anomaly_enabled=1")
     with pytest.raises(ConfigError):
         parse_config("exposure.seed=5")  # derived from the master seed
     with pytest.raises(ConfigError):
@@ -497,6 +502,10 @@ def test_analyze_bad_bin_width_on_a_dark_trace_exits_2(tmp_path, capsys):
     ("device_temperature", "true"),
     ("photons_incident", "-7"),
     ("photons_absorbed", "-1"),
+    ("photons_incident", "7.9"),
+    ("photons_absorbed", "true"),
+    ("initial_gate_shift", "true"),
+    ("initial_gate_shift", "abc"),
     ("axis", "sideways"),
 ])
 def test_analyze_mistyped_trace_header_exits_2_naming_the_key(tmp_path, short_trace,
@@ -510,4 +519,28 @@ def test_analyze_mistyped_trace_header_exits_2_naming_the_key(tmp_path, short_tr
     out = tmp_path / "out"
     assert main(["analyze", str(path), "--out", str(out)]) == 2
     assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_names_a_missing_device_key(tmp_path, short_trace, capsys):
+    lines = short_trace.read_text().splitlines()
+    kept = [line for line in lines if not line.startswith("# device_lever_arm=")]
+    assert len(kept) == len(lines) - 1
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(kept) + "\n")
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "qpcsim: invalid input: trace header lacks device_lever_arm\n"
+    assert not out.exists()
+
+
+def test_expose_caps_the_expected_photon_count(tmp_path, capsys):
+    # 5.4e12 expected photons: rejected before a single gap is drawn
+    cfg = tmp_path / "bright.cfg"
+    cfg.write_text("source.incident_rate=1e9\n")
+    out = tmp_path / "out"
+    assert main(["expose", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "incident_rate * duration must be <= 10000000" in err
     assert not out.exists()

@@ -25,6 +25,7 @@ from qpcsim.simulate import (
     fmt,
     trace_from_text,
     trace_to_text,
+    typed,
 )
 from qpcsim.transport import GATE_AXIS, MAX_SAMPLES, TIME_AXIS, DeviceParams
 
@@ -286,6 +287,30 @@ def test_config_text_round_trip(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(value=math.nan)
+@example(value=-0.0)
+@example(value=-math.inf)
+@given(value=st.booleans() | st.integers() | st.floats()
+       | st.text().filter(lambda text: isinstance(_parse_value(text), str)))
+def test_typed_reads_back_what_fmt_writes(value):
+    back = typed("key", _parse_value(fmt(value)), type(value))
+    assert type(back) is type(value) and repr(back) == repr(value)
+
+
+@pytest.mark.parametrize("value,typ", [
+    (True, int), (1, bool), ("true", bool), (1.0, int), (True, float), ("1.5", float),
+    (5, str), (False, str), (10**400, float),
+])
+def test_typed_rejects_other_types_naming_the_key(value, typ):
+    with pytest.raises(ValueError, match=f"^key must be {typ.__name__}, got "):
+        typed("key", value, typ)
+
+
+def test_typed_widens_an_int_to_float():
+    assert repr(typed("key", -3, float)) == "-3.0"
+
+
 # ---------------------------------------------------------------------------
 # the column writer against a row-at-a-time reference
 # ---------------------------------------------------------------------------
@@ -373,10 +398,11 @@ def test_column_writer_rejects_unequal_lengths(lengths):
 # ---------------------------------------------------------------------------
 
 def line_wise_trace_from_text(text):
-    """`trace_from_text` as it was when every data line went through `float`."""
-    axis_kind = TIME_AXIS
-    config = {}
-    incident = absorbed = 0
+    """`trace_from_text` as it was when every data line went through `float`.
+
+    Header values are typed by the same rule, in the same order.
+    """
+    header = {}
     times, values = [], []
     event_rows = None
     section = "samples"
@@ -389,16 +415,7 @@ def line_wise_trace_from_text(text):
             if "=" not in body:
                 continue
             key, _, val = body.partition("=")
-            key = key.strip()
-            parsed = _parse_value(val.strip())
-            if key == "axis":
-                axis_kind = str(parsed)
-            elif key == "photons_incident":
-                incident = int(parsed)
-            elif key == "photons_absorbed":
-                absorbed = int(parsed)
-            else:
-                config[key] = parsed
+            header[key.strip()] = _parse_value(val.strip())
             continue
         if line == "events":
             if event_rows is not None:
@@ -420,13 +437,16 @@ def line_wise_trace_from_text(text):
             values.append(b)
         else:
             event_rows.append((a, b))
+    axis_kind = header.pop("axis", TIME_AXIS)
+    incident = typed("photons_incident", header.pop("photons_incident", 0), int)
+    absorbed = typed("photons_absorbed", header.pop("photons_absorbed", 0), int)
     events = None
     if event_rows is not None:
-        levels = cumulative_gate_shift(
-            float(config.get("initial_gate_shift", 0.0)), [c for _, c in event_rows])
+        initial_shift = typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
+        levels = cumulative_gate_shift(initial_shift, [c for _, c in event_rows])
         events = [TruthEvent(t, c, float(s))
                   for (t, c), s in zip(event_rows, levels[1:])]
-    return Trace(axis_kind, np.array(times), np.array(values), events, config,
+    return Trace(axis_kind, np.array(times), np.array(values), events, header,
                  photons_incident=incident, photons_absorbed=absorbed)
 
 

@@ -15,6 +15,7 @@ from qpcsim.simulate import (
     device_from_config,
     exposure_to_gate_equivalence,
     poisson_event_times,
+    read_trace,
     simulate_exposure,
     simulate_gate_sweep,
     trace_from_text,
@@ -223,6 +224,18 @@ def test_remap_of_eventless_trace_is_single_point(device):
     assert curve.times[0] == config.gate_bias
 
 
+def test_remap_names_a_mistyped_gate_bias(default_exposure, device, tmp_path):
+    trace, _ = default_exposure
+    lines = trace_to_text(trace).splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith("# gate_bias=")]
+    assert len(at) == 1
+    lines[at[0]] = "# gate_bias=true"
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^gate_bias must be float, got True$"):
+        exposure_to_gate_equivalence(read_trace(path), device)
+
+
 def test_remap_requires_truth_events(device):
     trace = simulate_gate_sweep(device, -1.5, -1.3, 50, 0.0, 1)
     with pytest.raises(ValueError):
@@ -362,6 +375,28 @@ def test_trace_rejects_non_finite_samples(bad):
         Trace(TIME_AXIS, [0.0, 0.5, 1.0], [0.1, bad, 0.2], None)
     with pytest.raises(ValueError, match="finite"):
         Trace(TIME_AXIS, [bad], [0.1], None)
+
+
+@pytest.mark.parametrize("bad", [7.9, 7.0, True, np.True_, "7", -1, np.int64(-1)])
+def test_trace_rejects_a_photon_count_that_cannot_read_back(bad):
+    for name in ("photons_incident", "photons_absorbed"):
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= 0, got "):
+            Trace(TIME_AXIS, [0.0], [0.1], None, {}, **{name: bad})
+
+
+def test_trace_takes_numpy_integer_photon_counts():
+    trace = Trace(TIME_AXIS, [0.0], [0.1], None, {}, np.int64(7), np.uint8(3))
+    back = trace_from_text(trace_to_text(trace))
+    assert (back.photons_incident, back.photons_absorbed) == (7, 3)
+
+
+def test_exposure_expected_photon_count_is_capped(device):
+    # 5.4e12 expected photons: rejected before any draw, the ensemble untouched
+    ensemble = build_ensemble(TrapConfig(), 3)
+    with pytest.raises(ValueError, match=r"^incident_rate \* duration must be <= "):
+        simulate_exposure(device, ensemble, PhotonSource(incident_rate=1e9),
+                          ExposureConfig())
+    assert ensemble.captured == []
 
 
 def test_exposure_config_validation():
