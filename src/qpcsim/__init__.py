@@ -40,22 +40,18 @@ from .charge import (
 from .simulate import (
     ExposureConfig,
     TruthEvent,
-    add_telegraph_signal,
     exposure_to_gate_equivalence,
     poisson_event_times,
     read_trace,
     simulate_exposure,
     simulate_gate_sweep,
-    write_trace,
 )
 from .transport import (
-    CONDUCTANCE_QUANTUM_SIEMENS,
     ConductanceCurve,
     DeviceParams,
     Trace,
     conductance,
     differential_conductance,
-    mode_transmission,
     sweep,
     transconductance,
 )
@@ -69,10 +65,8 @@ __all__ = [
     "PhotonSource", "TrapConfig", "TrapEnsemble", "absorption_target",
     "build_ensemble", "capture_photon", "capture_photons",
     "effective_gate_shift",
-    "ExposureConfig", "Trace", "TruthEvent", "add_telegraph_signal",
-    "exposure_to_gate_equivalence", "poisson_event_times", "read_trace",
-    "simulate_exposure", "simulate_gate_sweep", "write_trace",
-    "CONDUCTANCE_QUANTUM_SIEMENS", "ConductanceCurve", "DeviceParams",
-    "conductance", "differential_conductance", "mode_transmission", "sweep",
-    "transconductance",
+    "ExposureConfig", "Trace", "TruthEvent", "exposure_to_gate_equivalence",
+    "poisson_event_times", "read_trace", "simulate_exposure", "simulate_gate_sweep",
+    "ConductanceCurve", "DeviceParams", "conductance", "differential_conductance",
+    "sweep", "transconductance",
 ]

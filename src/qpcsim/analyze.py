@@ -44,6 +44,9 @@ RELATIVE_TRANSCONDUCTANCE_FLOOR = 1e-3
 # fewer detected steps than this cannot certify saturation of an active run
 MIN_STEPS_FOR_SATURATION = 10
 
+# the least share of the samples that `saturation_summary` tests for flatness
+SATURATION_TAIL_FRACTION = 0.1
+
 _MAD_TO_SIGMA = 0.6744897501960817  # Phi^-1(0.75): MAD -> sigma for a Gaussian
 
 
@@ -287,15 +290,14 @@ def _linear_slope(t: np.ndarray, x: np.ndarray, sigma: float):
     return slope, se
 
 
-def saturation_summary(steps: list[StepEvent], trace: Trace,
-                       tail_fraction: float = 0.1):
+def saturation_summary(steps: list[StepEvent], trace: Trace):
     """Decide whether the photoresponse has saturated.
 
     The trailing portion of the run must be statistically flat while the
     earlier portion rises; a trace that never rose at all (a dark run) is
-    trivially saturated.  The tail is the trailing `tail_fraction` of the
-    samples, widened to at least three detected inter-event gaps so a
-    quiet stretch of an active run is not mistaken for saturation, and a
+    trivially saturated.  The tail is the trailing `SATURATION_TAIL_FRACTION`
+    of the samples, widened to at least three detected inter-event gaps so
+    a quiet stretch of an active run is not mistaken for saturation, and a
     run with only a handful of events carries too little evidence to
     certify anything.
 
@@ -316,7 +318,7 @@ def saturation_summary(steps: list[StepEvent], trace: Trace,
     if len(steps) < MIN_STEPS_FOR_SATURATION:
         return False, len(steps), total_rise
 
-    tail_len = int(math.ceil(tail_fraction * n))
+    tail_len = int(math.ceil(SATURATION_TAIL_FRACTION * n))
     gaps = np.diff([s.time for s in steps])
     dt = _median(np.diff(t))
     tail_len = max(tail_len, int(math.ceil(3.0 * float(np.mean(gaps)) / dt)))

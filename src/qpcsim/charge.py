@@ -34,9 +34,6 @@ import numpy as np
 
 from .transport import MAX_SAMPLES, require_finite
 
-# Elementary charge, coulombs.
-E_CHARGE = 1.602176634e-19
-
 # Wavelength (nm) below which photons are absorbed in the doped barrier
 # layer (gap ~1.9 eV) and can reach the dopant traps.
 BARRIER_ABSORPTION_EDGE_NM = 650.0
@@ -68,7 +65,6 @@ class TrapConfig:
 
     carrier_density: float = 3.3e11          # cm^-2
     active_area: float = 3e-10               # cm^2
-    channel_capacitance: float = 1e-16       # F
     saturation_gate_shift: float = 0.2       # V, total shift when all dopant traps fill
     coupling_distribution: str = "exponential"   # or "constant"
     buffer_trap_count: int = 2000
@@ -100,11 +96,6 @@ class TrapConfig:
     def mean_dopant_coupling(self) -> float:
         """Mean per-trap gate shift (V); count * mean = saturation shift."""
         return self.saturation_gate_shift / self.dopant_trap_count
-
-    @property
-    def single_charge_voltage(self) -> float:
-        """e / C of the channel (V); the natural scale of one trapped charge."""
-        return E_CHARGE / self.channel_capacitance
 
 
 @dataclass(frozen=True)

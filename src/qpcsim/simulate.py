@@ -199,32 +199,6 @@ def exposure_to_gate_equivalence(trace: Trace,
     return Trace(GATE_AXIS, volts[visited], g)
 
 
-def add_telegraph_signal(trace: Trace, amplitude: float = 0.02,
-                         switch_rate: float = 0.05, seed: int = 0) -> Trace:
-    """Overlay a two-level fluctuator (random telegraph signal) on a trace.
-
-    Stress-test contaminant for the step detector: unlike photon steps the
-    fluctuator moves in both directions.  Off by default everywhere.
-    """
-    if amplitude < 0 or switch_rate < 0:
-        raise ValueError("amplitude and switch_rate must be >= 0")
-    rng = np.random.default_rng(seed)
-    t = trace.times
-    span = float(t[-1] - t[0]) if t.size > 1 else 0.0
-    switches = poisson_event_times(switch_rate, span, rng)
-    state = np.zeros(t.size)
-    if t.size:
-        flips = np.searchsorted(t[0] + switches, t, side="right")
-        state = np.where(flips % 2 == 0, 0.0, 1.0)
-    contaminated = trace.conductance + amplitude * state
-    cfg = dict(trace.config)
-    cfg["telegraph_amplitude"] = amplitude
-    cfg["telegraph_switch_rate"] = switch_rate
-    events = None if trace.truth_events is None else list(trace.truth_events)
-    return Trace(trace.axis_kind, t.copy(), contaminated, events, cfg,
-                 trace.photons_incident, trace.photons_absorbed)
-
-
 def _device_snapshot(device: DeviceParams) -> dict:
     return {f"device_{f.name}": getattr(device, f.name) for f in fields(DeviceParams)}
 
@@ -399,11 +373,6 @@ def trace_from_text(text: str) -> Trace:
 
     return Trace(axis_kind, times, values, events, header,
                  photons_incident=incident, photons_absorbed=absorbed)
-
-
-def write_trace(trace: Trace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace_to_text(trace))
 
 
 def read_trace(path) -> Trace:

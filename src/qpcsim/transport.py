@@ -29,9 +29,6 @@ import numpy as np
 # Boltzmann constant in meV/K; k_B * 4.2 K = 0.362 meV.
 KB_MEV_PER_K = 0.08617333262
 
-# 2e^2/h in siemens (= 1/12906.4 ohm).
-CONDUCTANCE_QUANTUM_SIEMENS = 7.748091729e-5
-
 # Calibration: at the threshold voltage the lowest subband bottom sits this
 # far (meV) above the Fermi energy, so the channel is pinched off
 # (G <= 0.02) right at threshold and opens just above it.
@@ -184,24 +181,6 @@ def _logistic_transmission(energy, subband_bottom, tunnel_width):
     return 1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
 
 
-def mode_transmission(energy, mode_index: int, params: DeviceParams,
-                      gate_voltage) -> np.ndarray | float:
-    """Transmission probability of one mode at the given energy (meV).
-
-    Logistic in energy with scale tunnel_width/2pi; exactly 1/2 at the
-    subband bottom, saturating at 0 and 1.
-    """
-    if not 0 <= mode_index < params.num_modes:
-        raise ValueError(
-            f"mode_index {mode_index} out of range [0, {params.num_modes})"
-        )
-    eps = params.subband_bottom(mode_index, gate_voltage)
-    t = _logistic_transmission(energy, eps, params.tunnel_width)
-    if np.isscalar(energy) and np.ndim(t) == 0:
-        return float(t)
-    return t
-
-
 def _thermal_average(x, kt: float, tunnel_width: float, quad_order: int):
     """Phi(x) = sum_k K_k T(u_k + x) and its first three x-derivatives, by quadrature.
 
@@ -273,9 +252,14 @@ def _mode_sum(effective_gate_voltage, params: DeviceParams, quad_order, order: i
 
     From the device's table, or by quadrature when quad_order is given.  With
     the shoulder model, mode 0 mixes Phi(x) and Phi(x - anomaly_split).
+    Over `MAX_SAMPLES` lookups (one row per mode, one more for the shoulder,
+    times the gate points) is a ValueError, before any array is built.
     """
     scalar_in = np.isscalar(effective_gate_voltage)
     v = np.atleast_1d(np.asarray(effective_gate_voltage, dtype=float))
+    if (params.num_modes + params.anomaly_enabled) * v.size > MAX_SAMPLES:
+        raise ValueError(f"num_modes must be <= {MAX_SAMPLES // v.size - params.anomaly_enabled}"
+                         f" for {v.size} gate points, got {params.num_modes}")
     kt, width = params.thermal_energy, params.tunnel_width
     table = None if quad_order else _transmission_table(kt, width)
     phi = table[order] if table else (lambda x: np.array([  # a mode at a time: memory

@@ -29,7 +29,7 @@ from qpcsim.simulate import (
     ExposureConfig,
     Trace,
     TruthEvent,
-    add_telegraph_signal,
+    poisson_event_times,
     simulate_exposure,
 )
 from qpcsim.transport import TIME_AXIS
@@ -180,8 +180,12 @@ def test_rts_contaminated_trace_yields_only_upward_events(device):
     config = ExposureConfig(duration=4000.0, noise_sigma=0.005, seed=9)
     trace = simulate_exposure(device, build_ensemble(TrapConfig(), 9), source,
                               config)
-    contaminated = add_telegraph_signal(trace, amplitude=0.05,
-                                        switch_rate=0.005, seed=10)
+    # a two-level fluctuator: the level flips at each Poisson switching time
+    switches = trace.times[0] + poisson_event_times(
+        0.005, trace.times[-1] - trace.times[0], np.random.default_rng(10))
+    flips = np.searchsorted(switches, trace.times, side="right")
+    contaminated = Trace(trace.axis_kind, trace.times,
+                         trace.conductance + 0.05 * (flips % 2), config=trace.config)
     steps = detect_steps(contaminated, window=12, threshold=5.0)
     assert all(s.height > 0 for s in steps)
     # the fluctuator really did move both ways

@@ -33,14 +33,6 @@ def test_default_dopant_trap_count_is_carrier_count():
     assert config.dopant_trap_count == 99
 
 
-def test_single_charge_voltage_scale():
-    config = TrapConfig()
-    # e / 0.1 fF = 1.6 mV, same order as the 0.2 V / 99 mean coupling
-    assert config.single_charge_voltage == pytest.approx(1.602e-3, rel=1e-3)
-    ratio = config.mean_dopant_coupling / config.single_charge_voltage
-    assert 0.5 < ratio < 2.0
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         TrapConfig(active_area=1e-15)  # rounds to zero traps

@@ -47,6 +47,8 @@ def test_config_roundtrip_with_custom_values():
 def test_config_rejects_unknown_and_malformed_keys():
     with pytest.raises(ConfigError):
         parse_config("device.unknown_knob=3")
+    with pytest.raises(ConfigError, match="^line 1: unknown key 'traps.channel_capacitance'$"):
+        parse_config("traps.channel_capacitance=1e-16")  # gone with the one property it fed
     with pytest.raises(ConfigError):
         parse_config("just a line")
     with pytest.raises(ConfigError, match="^device.temperature must be float, got 'warm'$"):
@@ -533,6 +535,28 @@ def test_analyze_names_a_missing_device_key(tmp_path, short_trace, capsys):
     assert capsys.readouterr().err == \
         "qpcsim: invalid input: trace header lacks device_lever_arm\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,limit", [
+    ("sweep", "16637 for 601"),  # the sweep's points, one more row for the shoulder
+    ("expose", ""),  # one point per capture level
+    ("analyze", "2498 for 4001"),  # the model grid's points
+    ("reproduce-figures", "16637 for 601"),
+])
+def test_oversized_num_modes_exits_2_naming_it(tmp_path, short_trace, capsys, command,
+                                                limit):
+    # 10^8 modes used to exit 1 with a failed allocation of modes x gate points
+    # (763 MiB for the mode indices alone); now no array of them is built
+    trace = tmp_path / "edited.csv"
+    trace.write_text(short_trace.read_text().replace("# device_num_modes=5\n",
+                                                     "# device_num_modes=100000000\n"))
+    assert "# device_num_modes=100000000\n" in trace.read_text()
+    config = "" if command == "analyze" else "device.num_modes=100000000\n"
+    code, written = run_with(tmp_path / "run", command, trace, BASE_CONFIG + config)
+    err = capsys.readouterr().err
+    assert code == 2 and written == {}
+    assert err.startswith(f"qpcsim: invalid input: num_modes must be <= {limit}")
+    assert err.endswith(" gate points, got 100000000\n")
 
 
 def test_expose_caps_the_expected_photon_count(tmp_path, capsys):

@@ -268,8 +268,7 @@ run_configs = st.builds(
         anomaly_split=finite, source_drain_bias=finite),
     traps=st.builds(
         TrapConfig, carrier_density=st.floats(1e10, 1e14),
-        active_area=st.floats(1e-10, 1e-8), channel_capacitance=finite,
-        saturation_gate_shift=positive,
+        active_area=st.floats(1e-10, 1e-8), saturation_gate_shift=positive,
         coupling_distribution=st.sampled_from(["exponential", "constant"]),
         buffer_trap_count=st.integers(0, 10**9), buffer_coupling_scale=positive),
     source=st.builds(PhotonSource, wavelength=positive, incident_rate=non_negative,

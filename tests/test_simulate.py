@@ -11,7 +11,6 @@ from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble
 from qpcsim.simulate import (
     ExposureConfig,
     Trace,
-    add_telegraph_signal,
     device_from_config,
     exposure_to_gate_equivalence,
     poisson_event_times,
@@ -256,21 +255,6 @@ def test_staircase_envelope_bounded_by_coupling_times_slope(
 
 
 # ---------------------------------------------------------------------------
-# telegraph contaminant
-# ---------------------------------------------------------------------------
-
-def test_telegraph_signal_is_two_sided(device):
-    source = PhotonSource(incident_rate=0.0)
-    config = ExposureConfig(duration=2000.0, noise_sigma=0.0, seed=7)
-    trace = simulate_exposure(device, build_ensemble(TrapConfig(), 7), source,
-                              config)
-    noisy = add_telegraph_signal(trace, amplitude=0.05, switch_rate=0.01, seed=8)
-    jumps = np.diff(noisy.conductance)
-    assert (jumps > 0.04).any() and (jumps < -0.04).any()
-    assert np.array_equal(trace.times, noisy.times)
-
-
-# ---------------------------------------------------------------------------
 # trace files
 # ---------------------------------------------------------------------------
 
@@ -291,10 +275,9 @@ def test_trace_roundtrip_is_bit_exact(default_exposure):
 
 
 def test_sweep_trace_roundtrip_keeps_axis(device, tmp_path):
-    from qpcsim.simulate import read_trace, write_trace
     trace = simulate_gate_sweep(device, -1.5, -1.3, 64, 0.002, seed=5)
     path = tmp_path / "sweep.csv"
-    write_trace(trace, path)
+    path.write_text(trace_to_text(trace), encoding="utf-8")
     back = read_trace(path)
     assert back.axis_kind == GATE_AXIS
     assert back.truth_events is None

@@ -7,17 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qpcsim import transport
 from qpcsim.transport import (
-    CONDUCTANCE_QUANTUM_SIEMENS,
     GATE_AXIS,
     KB_MEV_PER_K,
     MAX_SAMPLES,
     PINCH_MARGIN_MEV,
     ConductanceCurve,
     DeviceParams,
+    _logistic_transmission,
     conductance,
     differential_conductance,
-    mode_transmission,
     sweep,
     transconductance,
 )
@@ -42,8 +42,14 @@ def zero_temperature_conductance(v, params):
 
 
 # ---------------------------------------------------------------------------
-# mode_transmission
+# transmission of one mode
 # ---------------------------------------------------------------------------
+
+def mode_transmission(energy, mode_index, params, gate_voltage):
+    """Logistic transmission of one mode at `energy` (meV) and a gate voltage."""
+    return _logistic_transmission(energy, params.subband_bottom(mode_index, gate_voltage),
+                                  params.tunnel_width)
+
 
 def test_transmission_half_at_subband_bottom(device):
     for n in range(device.num_modes):
@@ -73,13 +79,6 @@ def test_transmission_monotone_in_energy(device):
     assert np.all(np.diff(mode_transmission(near, 0, device, -1.45)) > 0)
 
 
-def test_transmission_mode_index_out_of_range(device):
-    with pytest.raises(ValueError):
-        mode_transmission(1.0, device.num_modes, device, -1.45)
-    with pytest.raises(ValueError):
-        mode_transmission(1.0, -1, device, -1.45)
-
-
 # ---------------------------------------------------------------------------
 # conductance
 # ---------------------------------------------------------------------------
@@ -101,13 +100,6 @@ def test_cold_limit_matches_zero_temperature_sum():
     for v in rng.uniform(-1.55, -1.15, 100):
         assert conductance(float(v), params) == pytest.approx(
             zero_temperature_conductance(float(v), params), abs=1e-6)
-
-
-def test_conductance_quantum_conversion():
-    # one conductance unit is 2e^2/h = 7.748e-5 S, about 1/13000 ohm
-    assert CONDUCTANCE_QUANTUM_SIEMENS == pytest.approx(7.748e-5, rel=1e-4)
-    assert 1.0 / CONDUCTANCE_QUANTUM_SIEMENS == pytest.approx(12906.4, rel=1e-4)
-    assert 1.0 / CONDUCTANCE_QUANTUM_SIEMENS == pytest.approx(13000, rel=0.01)
 
 
 def test_thermal_energy_at_measurement_temperature(device):
@@ -179,6 +171,21 @@ def test_sweep_length_is_capped_before_allocating(device):
     # 10^11 points would be 745 GiB of gate voltages
     with pytest.raises(ValueError, match=rf"n_points must be in \[2, {MAX_SAMPLES}\]"):
         sweep(-1.5, -1.3, 10**11, device)
+
+
+@pytest.mark.parametrize("anomaly,rows", [(True, 6), (False, 5)])
+@pytest.mark.parametrize("evaluate", [conductance, transconductance])
+def test_modes_times_gate_points_is_capped(monkeypatch, evaluate, anomaly, rows):
+    # one lookup row per mode, and one more for the shoulder's late part
+    params = DeviceParams(anomaly_enabled=anomaly)
+    monkeypatch.setattr(transport, "MAX_SAMPLES", 2 * rows)
+    v = np.linspace(-1.5, -1.3, 3)
+    assert np.shape(evaluate(v[:2], params)) == (2,)
+    assert np.shape(evaluate(v[:2], params, quad_order=40)) == (2,)
+    for quad_order in (None, 40):
+        with pytest.raises(ValueError, match="^num_modes must be <= 3 for 3 gate points, "
+                                             "got 5$"):
+            evaluate(v, params, quad_order=quad_order)
 
 
 def test_shoulder_is_dgdv_minimum_in_conductance_window(device):
