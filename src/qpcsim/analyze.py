@@ -35,6 +35,7 @@ from .transport import TIME_AXIS, DeviceParams, Trace, conductance, transconduct
 
 DEFAULT_WINDOW = 12
 DEFAULT_THRESHOLD = 4.0
+MODEL_GRID_POINTS = 4001  # gate voltages of the grid that G is inverted on
 
 # a step whose operating point has less than this fraction of the device's
 # peak transconductance sits on a plateau: height/slope is meaningless there
@@ -205,12 +206,12 @@ def fit_exponential(intervals) -> IntervalFit:
 
 @lru_cache(maxsize=8)
 def _model_grid(device: DeviceParams):
-    """Model (v, G, dG/dV) at 4,001 gate voltages, 1 V below threshold to past the last riser.
+    """Model (v, G, dG/dV) on a uniform gate grid, 1 V below threshold to past the last riser.
 
     Cached and shared between callers, so the arrays are read-only.
     """
     v = np.linspace(device.threshold_voltage - 1.0, device.threshold_voltage + (
-        device.num_modes * device.mode_spacing + 4.0) / device.lever_arm, 4001)
+        device.num_modes * device.mode_spacing + 4.0) / device.lever_arm, MODEL_GRID_POINTS)
     grid = v, conductance(v, device), transconductance(v, device)
     for a in grid:
         a.flags.writeable = False
@@ -342,6 +343,7 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
             device = device_from_config(trace.config)
         except KeyError as exc:
             raise ValueError(f"trace header lacks {exc.args[0]}") from None
+    device.require_mode_cap(MODEL_GRID_POINTS)  # checked even when no step needs the grid
     steps = detect_steps(trace, window=config.window, threshold=config.threshold)
 
     fit, histogram = interval_statistics(steps, config.bin_width)

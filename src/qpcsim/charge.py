@@ -66,7 +66,6 @@ class TrapConfig:
     carrier_density: float = 3.3e11          # cm^-2
     active_area: float = 3e-10               # cm^2
     saturation_gate_shift: float = 0.2       # V, total shift when all dopant traps fill
-    coupling_distribution: str = "exponential"   # or "constant"
     buffer_trap_count: int = 2000
     buffer_coupling_scale: float = 1e-5      # V, upper bound of buffer couplings
 
@@ -79,10 +78,6 @@ class TrapConfig:
             raise ValueError("dopant trap count must be > 0")
         if self.saturation_gate_shift <= 0:
             raise ValueError("saturation_gate_shift must be > 0")
-        if self.coupling_distribution not in ("exponential", "constant"):
-            raise ValueError(
-                f"unknown coupling_distribution {self.coupling_distribution!r}"
-            )
         if self.buffer_trap_count < 0:
             raise ValueError("buffer_trap_count must be >= 0")
         if self.buffer_coupling_scale <= 0:
@@ -151,7 +146,7 @@ class TrapEnsemble:
 def build_ensemble(config: TrapConfig, seed: int) -> TrapEnsemble:
     """Draw a trap ensemble; deterministic for a fixed seed.
 
-    Dopant couplings come from the configured distribution with mean
+    Dopant couplings are exponential with mean
     saturation_gate_shift / count; buffer couplings are uniform in
     (0.2, 1.0) x buffer_coupling_scale, so every buffer coupling stays at
     or below the scale.  All traps start unoccupied.  Over `MAX_SAMPLES`
@@ -161,12 +156,8 @@ def build_ensemble(config: TrapConfig, seed: int) -> TrapEnsemble:
     if n + buffer > MAX_SAMPLES:
         raise ValueError(f"dopant + buffer trap count must be <= {MAX_SAMPLES}, got {n + buffer}")
     rng = np.random.default_rng(seed)
-    mean = config.mean_dopant_coupling
-    if config.coupling_distribution == "exponential":
-        # exponential draws are > 0 with probability 1, but guard exactly
-        couplings = np.maximum(rng.exponential(mean, n), 1e-300)
-    else:
-        couplings = np.full(n, mean)
+    # exponential draws are > 0 with probability 1, but guard exactly
+    couplings = np.maximum(rng.exponential(config.mean_dopant_coupling, n), 1e-300)
     kinds = rng.choice(2, size=n)  # codes of DX_CENTER, NEUTRAL_DONOR
     buffer_couplings = config.buffer_coupling_scale * rng.uniform(0.2, 1.0, buffer)
     return TrapEnsemble(
@@ -191,21 +182,16 @@ def absorption_target(wavelength: float) -> str:
     return LAYER_NONE
 
 
-def free_traps(ensemble: TrapEnsemble, layer: str,
-               include_buffer_with_barrier: bool = False) -> list[int]:
-    """Indices of the empty traps a photon absorbed in `layer` can fill, in index order."""
-    if layer == LAYER_BARRIER:
-        eligible = (ensemble.kinds != _BUFFER_CODE) | include_buffer_with_barrier
-    elif layer == LAYER_BUFFER:
-        eligible = ensemble.kinds == _BUFFER_CODE
-    else:
+def free_traps(ensemble: TrapEnsemble, layer: str) -> list[int]:
+    """The empty traps of `layer`'s population (dopant or buffer), in index order."""
+    if layer not in (LAYER_BARRIER, LAYER_BUFFER):
         raise ValueError(f"no capture possible in layer {layer!r}")
+    eligible = (ensemble.kinds == _BUFFER_CODE) == (layer == LAYER_BUFFER)
     eligible[ensemble.captured] = False
     return np.flatnonzero(eligible).tolist()
 
 
 def capture_photon(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
-                   include_buffer_with_barrier: bool = False,
                    free: list[int] | None = None) -> int | None:
     """Capture one photo-hole at a uniformly chosen eligible empty trap.
 
@@ -216,7 +202,7 @@ def capture_photon(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
     traps.
     """
     if free is None:
-        free = free_traps(ensemble, layer, include_buffer_with_barrier)
+        free = free_traps(ensemble, layer)
     if not free:
         return None
     index = free.pop(rng.integers(len(free)))
@@ -225,7 +211,7 @@ def capture_photon(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
 
 
 def capture_photons(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
-                    count: int, include_buffer_with_barrier: bool = False) -> list[int]:
+                    count: int) -> list[int]:
     """Capture up to `count` photo-holes, each at a uniformly chosen empty trap.
 
     Returns the newly occupied traps' indices in capture order; the list is
@@ -236,8 +222,8 @@ def capture_photons(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    free = free_traps(ensemble, layer, include_buffer_with_barrier)
-    return [capture_photon(ensemble, layer, rng, include_buffer_with_barrier, free)
+    free = free_traps(ensemble, layer)
+    return [capture_photon(ensemble, layer, rng, free)
             for _ in range(min(count, len(free)))]
 
 

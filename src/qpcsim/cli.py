@@ -228,7 +228,7 @@ def cmd_reproduce_figures(cfg: RunConfig, args: argparse.Namespace) -> list[Path
 
     gate_curve = sweep(v0, v1, DEFAULT_SWEEP_POINTS, device)
     trace = _run_exposure(cfg)
-    remap = exposure_to_gate_equivalence(trace, device)
+    remap = exposure_to_gate_equivalence(trace)
     report = analyze_trace(trace, device, cfg.analysis)
 
     # interval statistics from the run's event log (model ground truth);

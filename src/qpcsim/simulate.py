@@ -50,7 +50,6 @@ class ExposureConfig:
     gate_bias: float = -1.5         # V, fixed gate during the exposure
     noise_sigma: float = 0.005      # conductance noise, units of 2e^2/h
     seed: int = 1
-    barrier_includes_buffer: bool = False  # also fill buffer traps at short wavelength
 
     def __post_init__(self):
         require_finite(self)
@@ -131,8 +130,7 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
     # charge trapped in earlier runs persists: start from the current shift;
     # the first k absorbed photons fill the k traps, later ones change nothing
     initial_shift = effective_gate_shift(ensemble)
-    captured = capture_photons(ensemble, layer, rng, absorbed.size,
-                               config.barrier_includes_buffer) if absorbed.size else []
+    captured = capture_photons(ensemble, layer, rng, absorbed.size) if absorbed.size else []
     event_times = absorbed[:len(captured)]
     levels, events = _capture_log(initial_shift, event_times, ensemble.couplings[captured])
 
@@ -170,8 +168,7 @@ def simulate_gate_sweep(device: DeviceParams, v_start: float, v_end: float,
     return Trace(GATE_AXIS, curve.times, g, config=cfg)
 
 
-def exposure_to_gate_equivalence(trace: Trace,
-                                 device: DeviceParams) -> Trace:
+def exposure_to_gate_equivalence(trace: Trace) -> Trace:
     """Re-plot an exposure against the gate voltage its trapped charge mimics.
 
     Each sample is placed at gate_bias + cumulative gate shift; samples
@@ -280,13 +277,13 @@ def _parse_value(text: str):
         return text
 
 
-_ACCEPTED = {bool: bool, int: int, float: (int, float), str: str}
+_ACCEPTED = {bool: bool, int: int, float: (int, float)}
 
 
 def typed(key: str, value, typ):
     """`value` as a field of type `typ`: a bool only for bool, a non-bool int
-    for int, an int or a float for float, a str for str.  Anything else (or
-    an int past the float range) raises ValueError naming `key`.
+    for int, an int or a float for float.  Anything else (or an int past the
+    float range) raises ValueError naming `key`.
     """
     if isinstance(value, bool) == (typ is bool) and isinstance(value, _ACCEPTED[typ]):
         try:

@@ -77,7 +77,6 @@ class DeviceParams:
     anomaly_enabled: bool = True
     anomaly_weight: float = 0.7      # weight of the early sub-step of mode 0
     anomaly_split: float = 2.4       # meV between the two mode-0 components
-    source_drain_bias: float = 0.5   # mV; recorded only, transport is linear response
 
     def __post_init__(self):
         require_finite(self)
@@ -94,6 +93,13 @@ class DeviceParams:
             raise ValueError("num_modes must be >= 1")
         if self.anomaly_enabled and not 0.0 < self.anomaly_weight < 1.0:
             raise ValueError("anomaly_weight must be in (0, 1)")
+
+    def require_mode_cap(self, points: int) -> None:
+        """Over `MAX_SAMPLES` lookups for `points` gate points (a row per mode, one
+        more for the shoulder) is a ValueError naming num_modes."""
+        if (self.num_modes + self.anomaly_enabled) * points > MAX_SAMPLES:
+            raise ValueError(f"num_modes must be <= {MAX_SAMPLES // points - self.anomaly_enabled}"
+                             f" for {points} gate points, got {self.num_modes}")
 
     @property
     def thermal_energy(self) -> float:
@@ -252,14 +258,10 @@ def _mode_sum(effective_gate_voltage, params: DeviceParams, quad_order, order: i
 
     From the device's table, or by quadrature when quad_order is given.  With
     the shoulder model, mode 0 mixes Phi(x) and Phi(x - anomaly_split).
-    Over `MAX_SAMPLES` lookups (one row per mode, one more for the shoulder,
-    times the gate points) is a ValueError, before any array is built.
     """
     scalar_in = np.isscalar(effective_gate_voltage)
     v = np.atleast_1d(np.asarray(effective_gate_voltage, dtype=float))
-    if (params.num_modes + params.anomaly_enabled) * v.size > MAX_SAMPLES:
-        raise ValueError(f"num_modes must be <= {MAX_SAMPLES // v.size - params.anomaly_enabled}"
-                         f" for {v.size} gate points, got {params.num_modes}")
+    params.require_mode_cap(v.size)  # before any array of modes is built
     kt, width = params.thermal_energy, params.tunnel_width
     table = None if quad_order else _transmission_table(kt, width)
     phi = table[order] if table else (lambda x: np.array([  # a mode at a time: memory

@@ -15,7 +15,7 @@ from qpcsim.analyze import (
     fit_exponential,
     saturation_summary,
 )
-from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble
+from qpcsim.charge import PhotonSource, TrapConfig, TrapEnsemble, build_ensemble
 from qpcsim.cli import main
 from qpcsim.simulate import (
     ExposureConfig,
@@ -97,7 +97,7 @@ def test_criterion_3_gate_photo_equivalence(noiseless_saturated_exposure,
     with criterion(3, "noiseless saturated exposure remapped to the voltage "
                       "axis matches the gate sweep within 0.05") as detail:
         trace, _ = noiseless_saturated_exposure
-        curve = exposure_to_gate_equivalence(trace, device)
+        curve = exposure_to_gate_equivalence(trace)
         model = np.asarray(conductance(curve.times, device))
         deviation = float(np.abs(curve.conductance - model).max())
         detail["note"] = f"max deviation {deviation:.2e} G0"
@@ -147,14 +147,14 @@ def test_criterion_5_saturation(default_exposure, noiseless_saturated_exposure,
 def test_criterion_6_height_correlation(device):
     with criterion(6, "constant-coupling r >= 0.999; variable-coupling mean "
                       "implied coupling within 15% of configured") as detail:
-        traps = TrapConfig(saturation_gate_shift=0.025,
-                           coupling_distribution="constant",
-                           buffer_trap_count=0)
+        # 99 dopant traps, every coupling the mean 0.025 V / 99
+        traps = TrapConfig(saturation_gate_shift=0.025)
+        n = traps.dopant_trap_count
+        constant = TrapEnsemble(np.full(n, traps.mean_dopant_coupling), np.zeros(n, np.int8))
         source = PhotonSource(wavelength=550.0, incident_rate=0.004,
                               quantum_efficiency=1.0)
         config = ExposureConfig(duration=33_000.0, noise_sigma=0.0, seed=1)
-        trace = simulate_exposure(device, build_ensemble(traps, 1), source,
-                                  config)
+        trace = simulate_exposure(device, constant, source, config)
         steps = detect_steps(trace, window=4, threshold=5.0)
         r, _, _ = correlate_heights(steps, trace, device, window=4)
 

@@ -24,7 +24,7 @@ from qpcsim.analyze import (
     report_to_text,
     saturation_summary,
 )
-from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble
+from qpcsim.charge import PhotonSource, TrapConfig, TrapEnsemble, build_ensemble
 from qpcsim.simulate import (
     ExposureConfig,
     Trace,
@@ -293,14 +293,18 @@ def test_mle_rate_recovery_property():
 # correlate_heights
 # ---------------------------------------------------------------------------
 
+def constant_ensemble(traps):
+    """The dopant traps of `traps`, each with the mean coupling, and no buffer traps."""
+    n = traps.dopant_trap_count
+    return TrapEnsemble(np.full(n, traps.mean_dopant_coupling), np.zeros(n, np.int8))
+
+
 def constant_coupling_run(device, seed=1):
-    traps = TrapConfig(saturation_gate_shift=0.025,
-                       coupling_distribution="constant", buffer_trap_count=0)
+    traps = TrapConfig(saturation_gate_shift=0.025)
     source = PhotonSource(wavelength=550.0, incident_rate=0.004,
                           quantum_efficiency=1.0)
     config = ExposureConfig(duration=33_000.0, noise_sigma=0.0, seed=seed)
-    ensemble = build_ensemble(traps, seed)
-    trace = simulate_exposure(device, ensemble, source, config)
+    trace = simulate_exposure(device, constant_ensemble(traps), source, config)
     return trace, traps
 
 
@@ -347,14 +351,12 @@ def test_steps_outside_model_range_are_undefined(device):
 
 def test_plateau_steps_have_tiny_heights(device):
     # bias parked on the first plateau: captured charge barely moves G
-    traps = TrapConfig(saturation_gate_shift=0.004,
-                       coupling_distribution="constant", buffer_trap_count=0)
+    traps = TrapConfig(saturation_gate_shift=0.004)
     source = PhotonSource(wavelength=550.0, incident_rate=0.01,
                           quantum_efficiency=1.0)
     config = ExposureConfig(duration=11_000.0, noise_sigma=0.0, seed=31,
                             gate_bias=-1.41)
-    ensemble = build_ensemble(traps, 31)
-    trace = simulate_exposure(device, ensemble, source, config)
+    trace = simulate_exposure(device, constant_ensemble(traps), source, config)
     assert trace.photons_captured == 99
     steps = detect_steps(trace, window=8, threshold=5.0)
     assert steps, "noiseless detection should still see the micro-steps"
@@ -375,13 +377,12 @@ def test_default_run_saturates(default_exposure):
 
 
 def test_short_run_not_saturated(device):
-    traps = TrapConfig(coupling_distribution="constant",
-                       saturation_gate_shift=0.2, buffer_trap_count=0)
+    traps = TrapConfig(saturation_gate_shift=0.2)
     source = PhotonSource(wavelength=550.0, incident_rate=0.05,
                           quantum_efficiency=1.0)
     config = ExposureConfig(duration=60.0, noise_sigma=0.0, seed=23,
                             gate_bias=-1.47)
-    trace = simulate_exposure(device, build_ensemble(traps, 23), source, config)
+    trace = simulate_exposure(device, constant_ensemble(traps), source, config)
     assert 2 <= trace.photons_captured <= 5
     steps = detect_steps(trace, window=8, threshold=5.0)
     saturated, count, rise = saturation_summary(steps, trace)

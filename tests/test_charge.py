@@ -37,8 +37,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrapConfig(active_area=1e-15)  # rounds to zero traps
     with pytest.raises(ValueError):
-        TrapConfig(coupling_distribution="lognormal")
-    with pytest.raises(ValueError):
         TrapConfig(saturation_gate_shift=0.0)
     with pytest.raises(ValueError):
         PhotonSource(wavelength=-5.0)
@@ -60,14 +58,6 @@ def test_default_ensemble_seed1_couplings_sum_near_saturation():
     # exponential draws with mean 0.2/99: sum within the 20% sampling band
     assert 0.16 <= total <= 0.24
     assert np.all(dopant > 0)
-
-
-def test_constant_distribution_gives_equal_couplings():
-    config = TrapConfig(coupling_distribution="constant", buffer_trap_count=0)
-    ensemble = build_ensemble(config, seed=3)
-    dopant = ensemble.dopant_couplings()
-    assert np.all(dopant == config.mean_dopant_coupling)
-    assert dopant.sum() == pytest.approx(config.saturation_gate_shift, rel=1e-12)
 
 
 def test_same_seed_builds_identical_ensembles():
@@ -195,17 +185,14 @@ def test_occupancy_is_one_way_and_shift_monotone():
     assert ensemble.occupied_count == 50
 
 
-def test_barrier_capture_can_include_buffer_when_enabled():
+def test_barrier_capture_saturates_with_buffer_traps_still_empty():
     config = TrapConfig(carrier_density=3.4e9)  # one dopant trap only
     ensemble = build_ensemble(config, seed=1)
     rng = np.random.default_rng(3)
     assert capture_photon(ensemble, LAYER_BARRIER, rng) is not None
-    # dopants exhausted: barrier-only capture saturates ...
+    # dopants exhausted: barrier capture saturates, the buffer traps stay out of reach
     assert capture_photon(ensemble, LAYER_BARRIER, rng) is None
-    # ... unless the buffer population is made eligible
-    trap = capture_photon(ensemble, LAYER_BARRIER, rng,
-                          include_buffer_with_barrier=True)
-    assert trap is not None and KINDS[ensemble.kinds[trap]] == BUFFER_MICRO
+    assert ensemble.occupied_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,34 +207,29 @@ def _preoccupied_ensemble(buffer_count, seed, fraction):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@example(buffer_count=0, layer=LAYER_BARRIER, include_buffer=False, fraction=0.0,
+@example(buffer_count=0, layer=LAYER_BARRIER, fraction=0.0,
          count=120, seed=9)    # one draw per dopant trap, then saturation
-@example(buffer_count=300, layer=LAYER_BUFFER, include_buffer=False, fraction=0.0,
+@example(buffer_count=300, layer=LAYER_BUFFER, fraction=0.0,
          count=301, seed=9)
-@example(buffer_count=5, layer=LAYER_BARRIER, include_buffer=True, fraction=1.0,
+@example(buffer_count=5, layer=LAYER_BARRIER, fraction=1.0,
          count=3, seed=2)      # saturated before the first photon
 @given(buffer_count=st.integers(0, 300),
        layer=st.sampled_from([LAYER_BARRIER, LAYER_BUFFER]),
-       include_buffer=st.booleans(),
        fraction=st.sampled_from([0.0, 0.3, 0.9]) | st.floats(0.0, 1.0),
        count=st.integers(0, 420),
        seed=st.integers(0, 2**32 - 1))
-def test_batched_capture_matches_rescan_per_photon(buffer_count, layer, include_buffer,
-                                                   fraction, count, seed):
+def test_batched_capture_matches_rescan_per_photon(buffer_count, layer, fraction, count,
+                                                   seed):
     ens_a = _preoccupied_ensemble(buffer_count, seed, fraction)
     ens_b = _preoccupied_ensemble(buffer_count, seed, fraction)
     rng_a = np.random.default_rng(seed + 1)
     rng_b = np.random.default_rng(seed + 1)
 
-    batched = capture_photons(ens_a, layer, rng_a, count,
-                              include_buffer_with_barrier=include_buffer)
+    batched = capture_photons(ens_a, layer, rng_a, count)
 
     # reference: rescan for the eligible empty traps before every photon and
     # pick one with a scalar draw over the whole candidate list
-    if layer == LAYER_BARRIER:
-        kinds = (DX_CENTER, NEUTRAL_DONOR) + ((BUFFER_MICRO,) if include_buffer else ())
-    else:
-        kinds = (BUFFER_MICRO,)
+    kinds = (DX_CENTER, NEUTRAL_DONOR) if layer == LAYER_BARRIER else (BUFFER_MICRO,)
     rescanned = []
     for _ in range(count):
         occupied = set(ens_b.captured)
@@ -264,7 +246,7 @@ def test_batched_capture_matches_rescan_per_photon(buffer_count, layer, include_
     rng_c = np.random.default_rng(seed + 1)
     single = []
     for _ in range(count):
-        trap = capture_photon(ens_c, layer, rng_c, include_buffer_with_barrier=include_buffer)
+        trap = capture_photon(ens_c, layer, rng_c)
         if trap is None:
             break
         single.append(trap)

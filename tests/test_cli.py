@@ -31,7 +31,7 @@ def test_config_roundtrip_with_custom_values():
         "traps.buffer_trap_count=500",
         "source.wavelength=650.0",
         "exposure.duration=900.0",
-        "exposure.barrier_includes_buffer=true",
+        "device.anomaly_enabled=false",
         "analysis.window=8",
         "analysis.threshold=5.0",
     ])
@@ -39,7 +39,7 @@ def test_config_roundtrip_with_custom_values():
     assert cfg.seed == 42
     assert cfg.device.temperature == 1.7
     assert cfg.traps.buffer_trap_count == 500
-    assert cfg.exposure.barrier_includes_buffer is True
+    assert cfg.device.anomaly_enabled is False
     assert cfg.analysis.window == 8
     assert parse_config(serialize_config(cfg)) == cfg
 
@@ -54,14 +54,47 @@ def test_config_rejects_unknown_and_malformed_keys():
     with pytest.raises(ConfigError, match="^device.temperature must be float, got 'warm'$"):
         parse_config("device.temperature=warm")
     # a bool is spelled true or false, as the writers spell it
-    with pytest.raises(ConfigError, match="^exposure.barrier_includes_buffer must be bool"):
-        parse_config("exposure.barrier_includes_buffer=yes")
+    with pytest.raises(ConfigError, match="^device.anomaly_enabled must be bool, got 'yes'$"):
+        parse_config("device.anomaly_enabled=yes")
     with pytest.raises(ConfigError, match="^device.anomaly_enabled must be bool, got 1$"):
         parse_config("device.anomaly_enabled=1")
     with pytest.raises(ConfigError):
         parse_config("exposure.seed=5")  # derived from the master seed
     with pytest.raises(ConfigError):
         parse_config("device.temperature=-4.0")  # fails validation
+
+
+def test_serialized_config_lists_every_setting():
+    # a new setting shows here as a visible change
+    text = serialize_config(default_config())
+    assert [line.partition("=")[0] for line in text.splitlines()] == [
+        "seed",
+        "analysis.window", "analysis.threshold", "analysis.bin_width",
+        "device.fermi_energy", "device.temperature", "device.mode_spacing",
+        "device.tunnel_width", "device.lever_arm", "device.threshold_voltage",
+        "device.num_modes", "device.anomaly_enabled", "device.anomaly_weight",
+        "device.anomaly_split",
+        "traps.carrier_density", "traps.active_area", "traps.saturation_gate_shift",
+        "traps.buffer_trap_count", "traps.buffer_coupling_scale",
+        "source.wavelength", "source.incident_rate", "source.quantum_efficiency",
+        "exposure.duration", "exposure.sample_interval", "exposure.dark_lead",
+        "exposure.gate_bias", "exposure.noise_sigma",
+    ]
+
+
+@pytest.mark.parametrize("line", ["traps.coupling_distribution=constant",
+                                  "exposure.barrier_includes_buffer=false",
+                                  "device.source_drain_bias=0.5"])
+def test_removed_setting_exits_2_as_an_unknown_key(tmp_path, capsys, line):
+    # settings the simulator no longer has: one trap population per layer,
+    # exponential couplings, linear response
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert main(["expose", "--config", str(cfg), "--out", str(out)]) == 2
+    key = line.partition("=")[0]
+    assert capsys.readouterr().err == f"qpcsim: config error: line 1: unknown key {key!r}\n"
+    assert not out.exists()
 
 
 def test_subseed_is_stable_and_tag_dependent():
@@ -557,6 +590,44 @@ def test_oversized_num_modes_exits_2_naming_it(tmp_path, short_trace, capsys, co
     assert code == 2 and written == {}
     assert err.startswith(f"qpcsim: invalid input: num_modes must be <= {limit}")
     assert err.endswith(" gate points, got 100000000\n")
+
+
+def test_analyze_checks_num_modes_before_detecting_steps(tmp_path, capsys):
+    # a 900 nm run absorbs nothing, so its trace has no steps and the model
+    # grid is never built; 10^8 modes in its header are refused all the same
+    assert main(["expose", "--wavelength", "900", "--duration", "300",
+                 "--out", str(tmp_path)]) == 0
+    trace = tmp_path / "exposure_trace.csv"
+    text = trace.read_text()
+    assert "# device_num_modes=5\n" in text
+    trace.write_text(text.replace("# device_num_modes=5\n", "# device_num_modes=100000000\n"))
+    out = tmp_path / "out"
+    assert main(["analyze", str(trace), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("qpcsim: invalid input: num_modes must be <= 2498 "
+                                       "for 4001 gate points, got 100000000\n")
+    assert not out.exists()
+
+
+def test_trace_with_removed_header_keys_reads_and_analyzes_the_same(tmp_path, short_trace):
+    # traces written while the simulator had two more settings carry their
+    # header lines; they stay in `config` and change nothing else
+    text = short_trace.read_text()
+    old_text = text.replace("# axis=exposure-time\n",
+                            "# axis=exposure-time\n# barrier_includes_buffer=false\n")
+    old_text = old_text.replace("# device_temperature=",
+                                "# device_source_drain_bias=0.5\n# device_temperature=")
+    assert len(old_text.splitlines()) == len(text.splitlines()) + 2
+    old = tmp_path / "old_trace.csv"
+    old.write_text(old_text)
+    assert read_trace(old).config == {**read_trace(short_trace).config,
+                                      "barrier_includes_buffer": False,
+                                      "device_source_drain_bias": 0.5}
+    reports = []
+    for trace in (short_trace, old):
+        out = tmp_path / trace.stem
+        assert main(["analyze", str(trace), "--out", str(out)]) == 0
+        reports.append((out / "analysis_report.txt").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_expose_caps_the_expected_photon_count(tmp_path, capsys):

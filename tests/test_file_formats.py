@@ -254,8 +254,7 @@ def exposures(draw):
     shortest = max(2.0 * (duration + dark_lead) / MAX_SAMPLES, 1e-300)
     return ExposureConfig(duration=duration, dark_lead=dark_lead,
                           sample_interval=draw(st.floats(shortest, 1e300)),
-                          gate_bias=draw(finite), noise_sigma=draw(non_negative),
-                          barrier_includes_buffer=draw(st.booleans()))
+                          gate_bias=draw(finite), noise_sigma=draw(non_negative))
 
 
 run_configs = st.builds(
@@ -265,11 +264,10 @@ run_configs = st.builds(
         tunnel_width=positive, lever_arm=positive, threshold_voltage=finite,
         num_modes=st.integers(1, 10**6), anomaly_enabled=st.booleans(),
         anomaly_weight=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        anomaly_split=finite, source_drain_bias=finite),
+        anomaly_split=finite),
     traps=st.builds(
         TrapConfig, carrier_density=st.floats(1e10, 1e14),
         active_area=st.floats(1e-10, 1e-8), saturation_gate_shift=positive,
-        coupling_distribution=st.sampled_from(["exponential", "constant"]),
         buffer_trap_count=st.integers(0, 10**9), buffer_coupling_scale=positive),
     source=st.builds(PhotonSource, wavelength=positive, incident_rate=non_negative,
                      quantum_efficiency=st.floats(0.0, 1.0)),
@@ -290,8 +288,7 @@ def test_config_text_round_trip(cfg):
 @example(value=math.nan)
 @example(value=-0.0)
 @example(value=-math.inf)
-@given(value=st.booleans() | st.integers() | st.floats()
-       | st.text().filter(lambda text: isinstance(_parse_value(text), str)))
+@given(value=st.booleans() | st.integers() | st.floats())
 def test_typed_reads_back_what_fmt_writes(value):
     back = typed("key", _parse_value(fmt(value)), type(value))
     assert type(back) is type(value) and repr(back) == repr(value)
@@ -299,7 +296,7 @@ def test_typed_reads_back_what_fmt_writes(value):
 
 @pytest.mark.parametrize("value,typ", [
     (True, int), (1, bool), ("true", bool), (1.0, int), (True, float), ("1.5", float),
-    (5, str), (False, str), (10**400, float),
+    (10**400, float),
 ])
 def test_typed_rejects_other_types_naming_the_key(value, typ):
     with pytest.raises(ValueError, match=f"^key must be {typ.__name__}, got "):

@@ -40,7 +40,7 @@ DIGESTS = {
             "analysis_report.txt":
                 "461e319792ea44ea458ca557723fd0c17d7a8fddd333b07f94769f1955d68f64",
             "exposure_trace.csv":
-                "f00fe0f1463775fa5b01ab96ef86ce285a9a68280420912f5dfe3f5ee32ab542",
+                "3efca028df092e52133a9d071a04349aade8e426ddf50c29e2c119c2c770073d",
             "overlay_gate_photo.csv":
                 "c8796f359e523f1671e996f075f973cebae85356bbcf3fbc48f7c5619720b53e",
             "photon_interval_histogram.csv":
@@ -50,13 +50,13 @@ DIGESTS = {
             "sweep_differential.csv":
                 "0d147dce21890229c67aeb2ff9713b38fa487f5229291c8496ad2fa71022b14f",
             "sweep_trace.csv":
-                "5a2f278e4ba0b96b1ee2ef9ddc35e289a0607d63c17542393f8464c10592a80b",
+                "0789fb9f2a4f09f09ac236dd6ea68b71970eb092a2a1d6a537fb6d0d36bd9215",
         },
         3: {
             "analysis_report.txt":
                 "30160c9a5901228493a31195d42769a957ad6a64aae943e75ff78d9f9a537d85",
             "exposure_trace.csv":
-                "0fa68c4695fa695e430ae2acb75548476afd0644ffba2e149ea50b22f2eba303",
+                "ccafcaf7fa2d9aba2fc609a4eb5f41772b86b49f2c51a748194657c310c6d7d5",
             "overlay_gate_photo.csv":
                 "a28659ed40a3d9ea08f1d9a5b82b10e0a0696a1d1ebe7677970772413769c78a",
             "photon_interval_histogram.csv":
@@ -66,13 +66,13 @@ DIGESTS = {
             "sweep_differential.csv":
                 "0d147dce21890229c67aeb2ff9713b38fa487f5229291c8496ad2fa71022b14f",
             "sweep_trace.csv":
-                "c8792d3e97a48dac04250d0ec86c40b048faefa8fbc3dce8a60e904d94b48e93",
+                "23c9d2e69778c3a40e17c44361dd51302437ba742b580e1454a3c9fc56c604ba",
         },
         57: {
             "analysis_report.txt":
                 "c8e79509c873750d27cb158d5af6377af23f36fb5054bc8d288e9a600bd41279",
             "exposure_trace.csv":
-                "9813a98b03e3efd3e1cf3b70215b672dbe36b3fb80ec5926d5127de4f6bd74cd",
+                "5ef5a2cd46600167297ed5ee7aabad6d6adbf7e4f84f8c3d621bc67390675c5c",
             "overlay_gate_photo.csv":
                 "1385c5d76359dd391b6728d451e02472929d849256cb0c52e1fa3dd844e93303",
             "photon_interval_histogram.csv":
@@ -82,7 +82,7 @@ DIGESTS = {
             "sweep_differential.csv":
                 "0d147dce21890229c67aeb2ff9713b38fa487f5229291c8496ad2fa71022b14f",
             "sweep_trace.csv":
-                "0e8722422e562c421c919480e655812fb0761c48495a20e5cd10f29047086e57",
+                "992ccf2731b290ee57c0573745770bd052744e967f681ba950043e558adc40e8",
         },
     },
     AVX2: {
@@ -90,7 +90,7 @@ DIGESTS = {
             "analysis_report.txt":
                 "99dad9d4aff2e14773a44db2b9e42cd6b50c28f7c73a6da914e74ea5adfce5b7",
             "exposure_trace.csv":
-                "44ad5faefffdfa51386b9b64102e9ee1f423ed22ea01a8de341f5c69ac08b61e",
+                "62c791b03563019e0d6d63ff75ed2425b27ec4f60c8227e41e94d44fc8ea0670",
             "overlay_gate_photo.csv":
                 "657c57d49ac771f2c8c694870931af98659ce1f79884e36f3f9a718701933812",
             "photon_interval_histogram.csv":
@@ -100,13 +100,13 @@ DIGESTS = {
             "sweep_differential.csv":
                 "029fee0fb341b1d208e9f9343da635f5eb9e9a7ca1dfb5f6647ca42966006ddf",
             "sweep_trace.csv":
-                "41c4c88f4e7cb7e06e75c4b356e58c5615d50ef1d83e2d3cfa98ec8bbab6eca0",
+                "472c938d789bdcd8f1e567c5fecb033cc39b516d3fdcc03a31617ff5b00491ac",
         },
         3: {
             "analysis_report.txt":
                 "51a5e43bb16021ec5cea61bf6e3ac2aa94fd03b2a71ed260f7ac14bee7f22f31",
             "exposure_trace.csv":
-                "48a9f4f7fb06acda4ebad9a1c2e00f97d6f0af05db6e8f29d2f3177a1c731110",
+                "75516bb428d36830b0221ea9291e65324b8345c9371abdab87d3f826ce6f9512",
             "overlay_gate_photo.csv":
                 "c029e07b1f2075f7c74e5e0c1df1948d927a0a5e3af8e7f51f73883a909482ee",
             "photon_interval_histogram.csv":
@@ -116,13 +116,13 @@ DIGESTS = {
             "sweep_differential.csv":
                 "029fee0fb341b1d208e9f9343da635f5eb9e9a7ca1dfb5f6647ca42966006ddf",
             "sweep_trace.csv":
-                "ccec9124c80604d9b2cfbf2048249dc85807dcbde5f1b861ae01ba45869686dd",
+                "cbfa00eb824cfc0ecb643b64d902cd7920c9ddab8c2c2a5af3df58b5c4bfc798",
         },
         57: {
             "analysis_report.txt":
                 "7ecc994ffea27e4a11f306f16ab676da9ec30c1a898adb8377fd7d1ac728a5c3",
             "exposure_trace.csv":
-                "38778213f799cd8666713372ad139853af97ff6b4e525a88aa250376df8559fa",
+                "352614aaa243291c88d0e5c24a62e124c0c70e923e8c5c0f195ccc2e42e29806",
             "overlay_gate_photo.csv":
                 "324b77a0aa004ac02a9899ba6e599187717927b22f8c90d91c101028db4a32cd",
             "photon_interval_histogram.csv":
@@ -132,7 +132,7 @@ DIGESTS = {
             "sweep_differential.csv":
                 "029fee0fb341b1d208e9f9343da635f5eb9e9a7ca1dfb5f6647ca42966006ddf",
             "sweep_trace.csv":
-                "c6b7f0646fc013c426cbeb18feefb5d97f13dc19ba576e281c12f87e4c73bb47",
+                "f286ea272bea8e709e09ed30ba158c4923d9c00cf50d730500ca5113c516c574",
         },
     },
 }

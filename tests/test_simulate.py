@@ -206,7 +206,7 @@ def test_sweep_validation(device):
 def test_noiseless_remap_matches_model_pointwise(noiseless_saturated_exposure,
                                                  device):
     trace, _ = noiseless_saturated_exposure
-    curve = exposure_to_gate_equivalence(trace, device)
+    curve = exposure_to_gate_equivalence(trace)
     model = np.asarray(conductance(curve.times, device))
     assert np.abs(curve.conductance - model).max() < 1e-9
     assert curve.axis_kind == GATE_AXIS
@@ -218,12 +218,12 @@ def test_remap_of_eventless_trace_is_single_point(device):
     config = ExposureConfig(duration=120.0, noise_sigma=0.0, seed=5)
     trace = simulate_exposure(device, build_ensemble(TrapConfig(), 3), source,
                               config)
-    curve = exposure_to_gate_equivalence(trace, device)
+    curve = exposure_to_gate_equivalence(trace)
     assert len(curve) == 1
     assert curve.times[0] == config.gate_bias
 
 
-def test_remap_names_a_mistyped_gate_bias(default_exposure, device, tmp_path):
+def test_remap_names_a_mistyped_gate_bias(default_exposure, tmp_path):
     trace, _ = default_exposure
     lines = trace_to_text(trace).splitlines()
     at = [i for i, line in enumerate(lines) if line.startswith("# gate_bias=")]
@@ -232,19 +232,19 @@ def test_remap_names_a_mistyped_gate_bias(default_exposure, device, tmp_path):
     path = tmp_path / "edited.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="^gate_bias must be float, got True$"):
-        exposure_to_gate_equivalence(read_trace(path), device)
+        exposure_to_gate_equivalence(read_trace(path))
 
 
 def test_remap_requires_truth_events(device):
     trace = simulate_gate_sweep(device, -1.5, -1.3, 50, 0.0, 1)
     with pytest.raises(ValueError):
-        exposure_to_gate_equivalence(trace, device)
+        exposure_to_gate_equivalence(trace)
 
 
 def test_staircase_envelope_bounded_by_coupling_times_slope(
         noiseless_saturated_exposure, device):
     trace, ensemble = noiseless_saturated_exposure
-    curve = exposure_to_gate_equivalence(trace, device)
+    curve = exposure_to_gate_equivalence(trace)
     v_dense = np.linspace(curve.times[0], curve.times[-1], 4000)
     smooth = np.asarray(conductance(v_dense, device))
     idx = np.searchsorted(curve.times, v_dense, side="right") - 1
