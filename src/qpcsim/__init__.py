@@ -24,7 +24,6 @@ from .analyze import (
     detect_steps,
     estimate_noise_sigma,
     fit_exponential,
-    interval_histogram,
     saturation_summary,
 )
 from .charge import (
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisConfig", "AnalysisReport", "IntervalFit", "StepEvent", "analyze_trace",
     "correlate_heights", "detect_steps", "estimate_noise_sigma",
-    "fit_exponential", "interval_histogram", "saturation_summary",
+    "fit_exponential", "saturation_summary",
     "PhotonSource", "TrapConfig", "TrapEnsemble", "absorption_target",
     "build_ensemble", "capture_photon", "capture_photons",
     "effective_gate_shift",

@@ -153,33 +153,23 @@ def detect_steps(trace: Trace, window: int = DEFAULT_WINDOW,
                     heights.tolist(), conf.tolist()))
 
 
-def interval_histogram(events: list[StepEvent], bin_width: float):
-    """Histogram of successive inter-event intervals.
-
-    Returns (bin starts, counts); counts sum to len(events) - 1.
-    """
-    if len(events) < 2:
-        raise ValueError("need at least 2 events for an interval histogram")
-    if not 0.0 < bin_width < math.inf:
-        raise ValueError(f"bin_width must be finite and > 0, got {bin_width!r}")
-    intervals = np.diff([e.time for e in events])
-    bins = np.floor(intervals / bin_width).astype(int)
-    counts = np.bincount(bins)
-    starts = np.arange(counts.size) * bin_width
-    return starts, counts
-
-
 def interval_statistics(events, bin_width: float = 0.0):
     """Exponential fit and histogram of the intervals between successive events.
 
     `events` are anything with a `.time` (detected steps or truth events).
-    A `bin_width` of 0 bins by a third of the fitted mean interval.
-    Returns (fit, (bin starts, counts)), or (None, ()) below three events.
+    A `bin_width` of 0 bins by a third of the fitted mean interval; one outside
+    [0, inf) is a ValueError, at any event count.  Returns (fit, (bin starts,
+    counts summing to len(events) - 1)), or (None, ()) below three events.
     """
+    if not 0.0 <= bin_width < math.inf:
+        raise ValueError(f"bin_width must be finite and >= 0, got {bin_width!r}")
     if len(events) < 3:
         return None, ()
-    fit = fit_exponential(np.diff([e.time for e in events]))
-    return fit, interval_histogram(events, bin_width or fit.mean_interval / 3.0)
+    intervals = np.diff([e.time for e in events])
+    fit = fit_exponential(intervals)
+    bin_width = bin_width or fit.mean_interval / 3.0
+    counts = np.bincount(np.floor(intervals / bin_width).astype(int))
+    return fit, (np.arange(counts.size) * bin_width, counts)
 
 
 def fit_exponential(intervals) -> IntervalFit:
@@ -302,7 +292,7 @@ def saturation_summary(steps: list[StepEvent], trace: Trace):
     run with only a handful of events carries too little evidence to
     certify anything.
 
-    Returns (saturation_detected, step_count, total_conductance_rise).
+    Returns (saturation_detected, total_conductance_rise).
     """
     x = trace.conductance
     t = trace.times
@@ -314,30 +304,28 @@ def saturation_summary(steps: list[StepEvent], trace: Trace):
     # flat-at-all-times trace: already at its asymptote
     rise_floor = 6.0 * sigma * math.sqrt(2.0 / m) + 1e-12
     if abs(total_rise) <= rise_floor:
-        return True, len(steps), total_rise
+        return True, total_rise
 
     if len(steps) < MIN_STEPS_FOR_SATURATION:
-        return False, len(steps), total_rise
+        return False, total_rise
 
     tail_len = int(math.ceil(SATURATION_TAIL_FRACTION * n))
     gaps = np.diff([s.time for s in steps])
     dt = _median(np.diff(t))
     tail_len = max(tail_len, int(math.ceil(3.0 * float(np.mean(gaps)) / dt)))
     if tail_len >= n - m:
-        return False, len(steps), total_rise  # too short a run to certify
+        return False, total_rise  # too short a run to certify
 
     tail_slope, tail_se = _linear_slope(t[-tail_len:], x[-tail_len:], sigma)
     head_slope, head_se = _linear_slope(t[:n - tail_len], x[:n - tail_len], sigma)
     tail_flat = abs(tail_slope) <= 3.0 * tail_se + 1e-15
     head_rising = head_slope > 5.0 * head_se
-    return bool(tail_flat and head_rising), len(steps), total_rise
+    return bool(tail_flat and head_rising), total_rise
 
 
 def analyze_trace(trace: Trace, device: DeviceParams | None = None,
                   config: AnalysisConfig = AnalysisConfig()) -> AnalysisReport:
     """Full analysis pipeline: detection, interval fit, correlation, saturation."""
-    if not 0.0 <= config.bin_width < math.inf:
-        raise ValueError(f"bin_width must be finite and >= 0, got {config.bin_width!r}")
     if device is None:
         try:
             device = device_from_config(trace.config)
@@ -354,7 +342,7 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
         r, implied, trans = math.nan, [math.nan] * len(steps), [math.nan] * len(steps)
         status = "insufficient events"
 
-    saturated, count, rise = saturation_summary(steps, trace)
+    saturated, rise = saturation_summary(steps, trace)
     return AnalysisReport(
         steps=steps, interval_fit=fit, height_correlation=r,
         implied_couplings=implied, transconductances=trans,

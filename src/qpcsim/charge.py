@@ -4,8 +4,8 @@ A trapped photo-hole adds fixed positive charge near the channel, which
 acts on the channel exactly like a small positive gate increment.  Hole
 capture proceeds either at a charged deep-donor complex (neutralized by
 the hole) or at a neutral donor (ionized by it); both raise the net donor
-charge by +e, so each trap carries a single per-trap gate-shift coupling
-and occupation is one-way within a run.  At cryogenic temperature the
+charge by +e, so a trap carries only its gate-shift coupling, not which
+of the two it is.  Occupation is one-way: at cryogenic temperature the
 trapped charge does not recombine on experimental time scales, so no
 release path is modeled.
 
@@ -15,14 +15,15 @@ traps far from the channel whose couplings are ~100x smaller, producing
 only a smooth conductance drift.  Which population a photon can reach is
 set by its wavelength (absorption layer).
 
-An ensemble is the traps' couplings and kind codes plus `captured`, the
-filled traps in capture order.  A run captures its photons in one pass
-(`capture_photons`): one vectorized scan for the m empty eligible traps,
-then one `capture_photon` call per photon that draws from that free list
-and pops the trap it fills (O(m) pointer moves, small next to a rescan).
-Each draw is the same scalar draw over the same ordered list as a rescan
-would make.  The trapped shift is the left-to-right sum over `captured`,
-so a later run starts bit for bit at the last level of the run before.
+An ensemble is the traps' couplings (the dopant traps first), the number
+of dopant traps, and `captured`, the filled traps in capture order.  A run
+captures its photons in one pass (`capture_photons`): one vectorized scan
+for the m empty eligible traps, then one `capture_photon` call per photon
+that draws from that free list and pops the trap it fills (O(m) pointer
+moves, small next to a rescan).  Each draw is the same scalar draw over the
+same ordered list as a rescan would make.  The trapped shift is the
+left-to-right sum over `captured`, so a later run starts bit for bit at the
+last level of the run before.
 """
 
 from __future__ import annotations
@@ -41,17 +42,9 @@ BARRIER_ABSORPTION_EDGE_NM = 650.0
 # Wavelength (nm) of the substrate band edge; beyond it nothing absorbs.
 SUBSTRATE_ABSORPTION_EDGE_NM = 870.0
 
-DX_CENTER = "dx_center"
-NEUTRAL_DONOR = "neutral_donor"
-BUFFER_MICRO = "buffer_micro"
-
 LAYER_BARRIER = "algaas"
 LAYER_BUFFER = "gaas_buffer"
 LAYER_NONE = "none"
-
-# a trap's kind code indexes this tuple; the dopant kinds come first
-KINDS = (DX_CENTER, NEUTRAL_DONOR, BUFFER_MICRO)
-_BUFFER_CODE = KINDS.index(BUFFER_MICRO)
 
 
 @dataclass(frozen=True)
@@ -118,29 +111,30 @@ class PhotonSource:
 class TrapEnsemble:
     """All traps of one device instance; occupancy only ever increases.
 
-    Trap i has kind `KINDS[kinds[i]]` and shifts the gate by `couplings[i]`
-    (V) once filled; `captured` holds the filled traps in capture order."""
+    Trap i shifts the gate by `couplings[i]` (V) once filled; the first
+    `dopant_count` traps are dopant traps, the rest buffer traps.
+    `captured` holds the filled traps in capture order."""
 
     couplings: np.ndarray
-    kinds: np.ndarray
+    dopant_count: int
     captured: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        self.couplings, kinds = np.asarray(self.couplings, dtype=float), np.asarray(self.kinds)
-        if self.couplings.ndim != 1 or self.couplings.shape != kinds.shape:
-            raise ValueError("couplings and kinds must be 1-d arrays of equal length")
+        self.couplings = np.asarray(self.couplings, dtype=float)
+        if self.couplings.ndim != 1:
+            raise ValueError("couplings must be a 1-d array")
         if not np.all(np.isfinite(self.couplings) & (self.couplings > 0)):
             raise ValueError("trap couplings must be finite and > 0")
-        if not np.all((kinds >= 0) & (kinds < len(KINDS))):
-            raise ValueError(f"trap kind codes must index {KINDS}")
-        self.kinds = kinds.astype(np.int8)
+        if not 0 <= self.dopant_count <= self.couplings.size:
+            raise ValueError(f"dopant_count must be in [0, {self.couplings.size}], "
+                             f"got {self.dopant_count!r}")
 
     @property
     def occupied_count(self) -> int:
         return len(self.captured)
 
     def dopant_couplings(self) -> np.ndarray:
-        return self.couplings[self.kinds != _BUFFER_CODE]
+        return self.couplings[:self.dopant_count]
 
 
 def build_ensemble(config: TrapConfig, seed: int) -> TrapEnsemble:
@@ -158,11 +152,8 @@ def build_ensemble(config: TrapConfig, seed: int) -> TrapEnsemble:
     rng = np.random.default_rng(seed)
     # exponential draws are > 0 with probability 1, but guard exactly
     couplings = np.maximum(rng.exponential(config.mean_dopant_coupling, n), 1e-300)
-    kinds = rng.choice(2, size=n)  # codes of DX_CENTER, NEUTRAL_DONOR
     buffer_couplings = config.buffer_coupling_scale * rng.uniform(0.2, 1.0, buffer)
-    return TrapEnsemble(
-        np.concatenate([couplings, buffer_couplings]),
-        np.concatenate([kinds, np.full(buffer, _BUFFER_CODE)]))
+    return TrapEnsemble(np.concatenate([couplings, buffer_couplings]), n)
 
 
 def absorption_target(wavelength: float) -> str:
@@ -186,7 +177,8 @@ def free_traps(ensemble: TrapEnsemble, layer: str) -> list[int]:
     """The empty traps of `layer`'s population (dopant or buffer), in index order."""
     if layer not in (LAYER_BARRIER, LAYER_BUFFER):
         raise ValueError(f"no capture possible in layer {layer!r}")
-    eligible = (ensemble.kinds == _BUFFER_CODE) == (layer == LAYER_BUFFER)
+    eligible = ((np.arange(ensemble.couplings.size) >= ensemble.dopant_count)
+                == (layer == LAYER_BUFFER))
     eligible[ensemble.captured] = False
     return np.flatnonzero(eligible).tolist()
 

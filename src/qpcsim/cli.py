@@ -42,7 +42,6 @@ from .simulate import (
 )
 from .transport import (
     GATE_AXIS,
-    MAX_SAMPLES,
     DeviceParams,
     Trace,
     differential_conductance,
@@ -176,8 +175,6 @@ def _atomic_write(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    if args.n_points > MAX_SAMPLES:
-        raise ValueError(f"--n-points must be <= {MAX_SAMPLES}, got {args.n_points}")
     device = cfg.device
     v_start = device.threshold_voltage if args.v_start is None else args.v_start
     v_end = device.threshold_voltage + DEFAULT_SWEEP_SPAN if args.v_end is None else args.v_end

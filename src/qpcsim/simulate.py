@@ -29,6 +29,7 @@ from .charge import (
     capture_photons,
     cumulative_gate_shift,
     effective_gate_shift,
+    free_traps,
 )
 from .transport import (
     GATE_AXIS,
@@ -67,18 +68,10 @@ class ExposureConfig:
 
 
 class TruthEvent(typing.NamedTuple):
-    """One successful capture: when, how strongly it gates the channel."""
+    """One capture: its time and coupling; `cumulative_gate_shift` gives the run's levels."""
 
     time: float          # s
     coupling: float      # V
-    gate_shift_after: float  # V, cumulative shift including this event
-
-
-def _capture_log(initial_shift: float, event_times: np.ndarray, couplings: np.ndarray):
-    """A capture log's shift levels (initial, then after each capture) and its TruthEvents."""
-    levels = cumulative_gate_shift(initial_shift, couplings)
-    return levels, list(map(TruthEvent, event_times.tolist(), couplings.tolist(),
-                            levels[1:].tolist()))
 
 
 def poisson_event_times(rate: float, duration: float,
@@ -130,9 +123,13 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
     # charge trapped in earlier runs persists: start from the current shift;
     # the first k absorbed photons fill the k traps, later ones change nothing
     initial_shift = effective_gate_shift(ensemble)
+    # G is evaluated once per shift level: check that count before any capture
+    free = len(free_traps(ensemble, layer)) if absorbed.size else 0
+    device.require_mode_cap(1 + min(absorbed.size, free))
     captured = capture_photons(ensemble, layer, rng, absorbed.size) if absorbed.size else []
-    event_times = absorbed[:len(captured)]
-    levels, events = _capture_log(initial_shift, event_times, ensemble.couplings[captured])
+    event_times, couplings = absorbed[:len(captured)], ensemble.couplings[captured]
+    levels = cumulative_gate_shift(initial_shift, couplings)
+    events = list(map(TruthEvent, event_times.tolist(), couplings.tolist()))
 
     times = _sample_times(config)
     idx = np.searchsorted(event_times, times, side="right")
@@ -184,10 +181,9 @@ def exposure_to_gate_equivalence(trace: Trace) -> Trace:
                           float)
 
     event_times = np.array([e.time for e in trace.truth_events])
-    shift_after = np.array([e.gate_shift_after for e in trace.truth_events])
     idx = np.searchsorted(event_times, trace.times, side="right")
 
-    levels = np.concatenate([[initial_shift], shift_after])
+    levels = cumulative_gate_shift(initial_shift, [e.coupling for e in trace.truth_events])
     volts = gate_bias + levels
     sums = np.bincount(idx, weights=trace.conductance, minlength=levels.size)
     counts = np.bincount(idx, minlength=levels.size)
@@ -365,8 +361,9 @@ def trace_from_text(text: str) -> Trace:
     times, values = np.concatenate(blocks["samples"]).T.copy()
     events = None
     if blocks["events"] is not None:
-        initial_shift = typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
-        _, events = _capture_log(initial_shift, *np.concatenate(blocks["events"]).T)
+        # must be a number: the shift levels are rebuilt from it
+        typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
+        events = list(map(TruthEvent, *np.concatenate(blocks["events"]).T.tolist()))
 
     return Trace(axis_kind, times, values, events, header,
                  photons_incident=incident, photons_absorbed=absorbed)

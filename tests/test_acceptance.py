@@ -127,7 +127,8 @@ def test_criterion_5_saturation(default_exposure, noiseless_saturated_exposure,
                       "[60, 100], post-saturation photons change nothing") as detail:
         trace, _ = default_exposure
         steps = detect_steps(trace)
-        saturated, count, rise = saturation_summary(steps, trace)
+        count = len(steps)
+        saturated, rise = saturation_summary(steps, trace)
         assert saturated
 
         # photons on the fully filled ensemble leave the conductance untouched
@@ -150,7 +151,7 @@ def test_criterion_6_height_correlation(device):
         # 99 dopant traps, every coupling the mean 0.025 V / 99
         traps = TrapConfig(saturation_gate_shift=0.025)
         n = traps.dopant_trap_count
-        constant = TrapEnsemble(np.full(n, traps.mean_dopant_coupling), np.zeros(n, np.int8))
+        constant = TrapEnsemble(np.full(n, traps.mean_dopant_coupling), n)
         source = PhotonSource(wavelength=550.0, incident_rate=0.004,
                               quantum_efficiency=1.0)
         config = ExposureConfig(duration=33_000.0, noise_sigma=0.0, seed=1)

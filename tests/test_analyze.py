@@ -19,7 +19,6 @@ from qpcsim.analyze import (
     detect_steps,
     estimate_noise_sigma,
     fit_exponential,
-    interval_histogram,
     interval_statistics,
     report_to_text,
     saturation_summary,
@@ -193,30 +192,16 @@ def test_rts_contaminated_trace_yields_only_upward_events(device):
 
 
 # ---------------------------------------------------------------------------
-# interval_histogram
+# interval_statistics: the histogram
 # ---------------------------------------------------------------------------
 
 def test_histogram_of_regular_events():
     events = [StepEvent(0.0, 0.1, 9.0), StepEvent(18.0, 0.1, 9.0),
               StepEvent(36.0, 0.1, 9.0)]
-    starts, counts = interval_histogram(events, bin_width=6.0)
+    _, (starts, counts) = interval_statistics(events, bin_width=6.0)
     assert counts.sum() == 2
     assert counts[3] == 2          # both 18 s intervals in the [18, 24) bin
     assert starts[3] == 18.0
-
-
-def test_histogram_single_interval():
-    events = [StepEvent(0.0, 0.1, 9.0), StepEvent(7.0, 0.1, 9.0)]
-    starts, counts = interval_histogram(events, bin_width=5.0)
-    assert counts.sum() == 1
-
-
-def test_histogram_requires_two_events_and_positive_bin():
-    with pytest.raises(ValueError):
-        interval_histogram([StepEvent(0.0, 0.1, 9.0)], 5.0)
-    with pytest.raises(ValueError):
-        interval_histogram([StepEvent(0.0, 0.1, 9.0), StepEvent(1.0, 0.1, 9.0)],
-                           0.0)
 
 
 def test_histogram_of_poisson_events_decays_exponentially():
@@ -224,7 +209,7 @@ def test_histogram_of_poisson_events_decays_exponentially():
     intervals = rng.exponential(18.0, 10_000)
     times = np.concatenate([[0.0], np.cumsum(intervals)])
     events = [StepEvent(float(t), 0.1, 9.0) for t in times]
-    starts, counts = interval_histogram(events, bin_width=6.0)
+    _, (starts, counts) = interval_statistics(events, bin_width=6.0)
     keep = counts >= 10
     slope = np.polyfit(starts[keep] + 3.0, np.log(counts[keep]), 1)[0]
     assert slope == pytest.approx(-1.0 / 18.0, rel=0.10)
@@ -296,7 +281,7 @@ def test_mle_rate_recovery_property():
 def constant_ensemble(traps):
     """The dopant traps of `traps`, each with the mean coupling, and no buffer traps."""
     n = traps.dopant_trap_count
-    return TrapEnsemble(np.full(n, traps.mean_dopant_coupling), np.zeros(n, np.int8))
+    return TrapEnsemble(np.full(n, traps.mean_dopant_coupling), n)
 
 
 def constant_coupling_run(device, seed=1):
@@ -370,9 +355,8 @@ def test_plateau_steps_have_tiny_heights(device):
 def test_default_run_saturates(default_exposure):
     trace, _ = default_exposure
     steps = detect_steps(trace)
-    saturated, count, rise = saturation_summary(steps, trace)
+    saturated, rise = saturation_summary(steps, trace)
     assert saturated
-    assert count == len(steps)
     assert rise == pytest.approx(1.98, abs=0.1)
 
 
@@ -385,7 +369,7 @@ def test_short_run_not_saturated(device):
     trace = simulate_exposure(device, constant_ensemble(traps), source, config)
     assert 2 <= trace.photons_captured <= 5
     steps = detect_steps(trace, window=8, threshold=5.0)
-    saturated, count, rise = saturation_summary(steps, trace)
+    saturated, rise = saturation_summary(steps, trace)
     assert not saturated
 
 
@@ -395,9 +379,9 @@ def test_dark_run_trivially_saturated(device):
     trace = simulate_exposure(device, build_ensemble(TrapConfig(), 3), source,
                               config)
     steps = detect_steps(trace, window=12, threshold=5.0)
-    saturated, count, rise = saturation_summary(steps, trace)
+    saturated, rise = saturation_summary(steps, trace)
     assert saturated
-    assert count == 0
+    assert steps == []
     assert abs(rise) < 0.01
 
 
@@ -455,12 +439,12 @@ def test_interval_statistics_is_the_fit_plus_its_histogram():
     assert interval_statistics(steps[:2]) == (None, ())
     fit, (starts, counts) = interval_statistics(steps)
     assert fit == fit_exponential([4.0, 6.0, 1.0, 19.0])
-    auto_starts, auto_counts = interval_histogram(steps, fit.mean_interval / 3.0)
+    _, (auto_starts, auto_counts) = interval_statistics(steps, fit.mean_interval / 3.0)
     assert np.array_equal(starts, auto_starts) and np.array_equal(counts, auto_counts)
     _, (starts, counts) = interval_statistics(steps, bin_width=5.0)
     assert starts.tolist() == [0.0, 5.0, 10.0, 15.0] and counts.tolist() == [2, 1, 0, 1]
     # truth events carry a .time too
-    truth = [TruthEvent(s.time, 0.002, 0.0) for s in steps]
+    truth = [TruthEvent(s.time, 0.002) for s in steps]
     assert interval_statistics(truth, 5.0)[0] == fit
 
 
@@ -475,4 +459,4 @@ def test_detector_rejects_non_finite_threshold(bad):
 def test_histogram_rejects_bin_width_outside_zero_to_inf(bad):
     events = [StepEvent(0.0, 0.1, 9.0), StepEvent(1.0, 0.1, 9.0)]
     with pytest.raises(ValueError, match="bin_width"):
-        interval_histogram(events, bad)
+        interval_statistics(events, bad)

@@ -4,13 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpcsim.charge import (
-    BUFFER_MICRO,
-    DX_CENTER,
-    KINDS,
     LAYER_BARRIER,
     LAYER_BUFFER,
     LAYER_NONE,
-    NEUTRAL_DONOR,
     PhotonSource,
     TrapConfig,
     TrapEnsemble,
@@ -43,7 +39,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PhotonSource(quantum_efficiency=1.5)
     with pytest.raises(ValueError):
-        TrapEnsemble(couplings=[0.0], kinds=[KINDS.index(DX_CENTER)])
+        TrapEnsemble(couplings=[0.0], dopant_count=1)
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +59,8 @@ def test_default_ensemble_seed1_couplings_sum_near_saturation():
 def test_same_seed_builds_identical_ensembles():
     a = build_ensemble(TrapConfig(), seed=11)
     b = build_ensemble(TrapConfig(), seed=11)
-    assert (a.kinds.tolist(), a.couplings.tolist(), a.captured) == \
-           (b.kinds.tolist(), b.couplings.tolist(), b.captured)
+    assert (a.dopant_count, a.couplings.tolist(), a.captured) == \
+           (b.dopant_count, b.couplings.tolist(), b.captured)
 
 
 def test_different_seed_differs():
@@ -76,7 +72,7 @@ def test_different_seed_differs():
 def test_buffer_couplings_bounded_by_scale():
     config = TrapConfig()
     ensemble = build_ensemble(config, seed=5)
-    buffers = ensemble.couplings[ensemble.kinds == KINDS.index(BUFFER_MICRO)].tolist()
+    buffers = ensemble.couplings[ensemble.dopant_count:].tolist()
     assert len(buffers) == config.buffer_trap_count
     assert all(0.0 < c <= config.buffer_coupling_scale for c in buffers)
 
@@ -119,7 +115,7 @@ def test_first_capture_occupies_one_dopant_trap():
     rng = np.random.default_rng(0)
     trap = capture_photon(ensemble, LAYER_BARRIER, rng)
     assert trap is not None and ensemble.captured == [trap]
-    assert KINDS[ensemble.kinds[trap]] in (DX_CENTER, NEUTRAL_DONOR)
+    assert trap < ensemble.dopant_count
     assert ensemble.occupied_count == 1
     assert effective_gate_shift(ensemble) == ensemble.couplings[trap]
 
@@ -128,7 +124,7 @@ def test_buffer_layer_fills_only_buffer_traps():
     ensemble = build_ensemble(TrapConfig(), seed=4)
     rng = np.random.default_rng(0)
     trap = capture_photon(ensemble, LAYER_BUFFER, rng)
-    assert KINDS[ensemble.kinds[trap]] == BUFFER_MICRO
+    assert trap >= ensemble.dopant_count
 
 
 def test_capture_in_dead_layer_is_an_error():
@@ -227,14 +223,15 @@ def test_batched_capture_matches_rescan_per_photon(buffer_count, layer, fraction
 
     batched = capture_photons(ens_a, layer, rng_a, count)
 
-    # reference: rescan for the eligible empty traps before every photon and
-    # pick one with a scalar draw over the whole candidate list
-    kinds = (DX_CENTER, NEUTRAL_DONOR) if layer == LAYER_BARRIER else (BUFFER_MICRO,)
+    # reference: rescan for the eligible empty traps (dopant traps are the
+    # index prefix, buffer traps the rest) before every photon and pick one
+    # with a scalar draw over the whole candidate list
+    n = ens_b.dopant_count
+    population = range(n) if layer == LAYER_BARRIER else range(n, len(ens_b.couplings))
     rescanned = []
     for _ in range(count):
         occupied = set(ens_b.captured)
-        candidates = [i for i, k in enumerate(ens_b.kinds.tolist())
-                      if i not in occupied and KINDS[k] in kinds]
+        candidates = [i for i in population if i not in occupied]
         if not candidates:
             break
         i = candidates[rng_b.integers(len(candidates))]
@@ -265,7 +262,7 @@ def test_capture_photons_stops_at_saturation():
     rng = np.random.default_rng(0)
     traps = capture_photons(ensemble, LAYER_BUFFER, rng, 25)
     assert len(traps) == 10
-    assert all(KINDS[ensemble.kinds[t]] == BUFFER_MICRO and t in ensemble.captured for t in traps)
+    assert all(t >= ensemble.dopant_count and t in ensemble.captured for t in traps)
     assert len(set(traps)) == 10
     assert capture_photons(ensemble, LAYER_BUFFER, rng, 5) == []
     with pytest.raises(ValueError):
@@ -292,13 +289,15 @@ def test_ensemble_over_the_trap_cap_is_rejected_before_any_draw():
 
 
 def test_ensemble_validates_its_arrays():
-    code = KINDS.index(DX_CENTER)
-    for couplings, kinds in [([1e-3, 2e-3], [code]), ([float("nan")], [code]),
-                             ([-1e-3], [code]), ([1e-3], [len(KINDS)]), ([1e-3], [-1]),
-                             ([1e-3], [300]), ([[1e-3]], [[code]])]:
+    for couplings, dopant_count in [([float("nan")], 1), ([-1e-3], 1), ([1e-3], 2),
+                                    ([1e-3, 2e-3], 3), ([1e-3], -1), ([[1e-3]], 1),
+                                    ([[1e-3], [2e-3]], 0)]:
         with pytest.raises(ValueError):
-            TrapEnsemble(couplings=couplings, kinds=kinds)
-    assert TrapEnsemble(couplings=[1e-3], kinds=[code]).occupied_count == 0
+            TrapEnsemble(couplings=couplings, dopant_count=dopant_count)
+    for dopant_count in (0, 1, 2):
+        ensemble = TrapEnsemble(couplings=[1e-3, 2e-3], dopant_count=dopant_count)
+        assert ensemble.occupied_count == 0
+        assert ensemble.dopant_couplings().tolist() == [1e-3, 2e-3][:dopant_count]
 
 
 def test_overflowing_dopant_count_names_both_fields():

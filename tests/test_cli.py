@@ -138,7 +138,7 @@ def test_sweep_invalid_range_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags,name", [
-    (["--n-points", "100000000000"], "--n-points"),
+    (["--n-points", "100000000000"], "n_points"),
     (["--v-end", "inf"], "v_end"),
     (["--v-start=-inf"], "v_start"),
     (["--v-start", "nan"], "v_start"),

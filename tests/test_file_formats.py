@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpcsim.analyze import AnalysisConfig, AnalysisReport, IntervalFit, StepEvent, report_to_text
-from qpcsim.charge import PhotonSource, TrapConfig, cumulative_gate_shift
+from qpcsim.charge import PhotonSource, TrapConfig
 from qpcsim.cli import RunConfig, main, parse_config, serialize_config
 from qpcsim.simulate import (
     ExposureConfig,
@@ -120,7 +120,7 @@ true,0,-0.0
 def test_exposure_trace_text_is_pinned():
     trace = Trace(TIME_AXIS, np.array([-1.0, -0.0, 0.5, 1e16]),
                   np.array([5e-324, 1.0, 2.0000000000000004, -1e-300]),
-                  [TruthEvent(0.25, 0.002, 0.002), TruthEvent(0.5, 1e-05, 0.00201)],
+                  [TruthEvent(0.25, 0.002), TruthEvent(0.5, 1e-05)],
                   dict(EXPOSURE_CONFIG), photons_incident=7, photons_absorbed=3)
     assert trace_to_text(trace) == EXPOSURE_TEXT
 
@@ -170,7 +170,7 @@ def test_numpy_floats_in_a_trace_header_read_back_as_floats():
     config = {"gate_bias": np.float64(-1.5), "seed": 3, "dark_lead": 60.0,
               "barrier_includes_buffer": np.bool_(True)}
     trace = Trace(TIME_AXIS, [0.0], [np.float64(0.25)],
-                  [TruthEvent(np.float64(0.5), np.float64(0.001), 0.001)], config)
+                  [TruthEvent(np.float64(0.5), np.float64(0.001))], config)
     text = trace_to_text(trace)
     assert text.splitlines()[2:6] == ["# barrier_includes_buffer=true",
                                       "# dark_lead=60.0", "# gate_bias=-1.5",
@@ -211,21 +211,16 @@ def traces(draw):
     times = sorted(draw(st.lists(finite, min_size=1, max_size=20, unique=True)))
     values = draw(st.lists(finite, min_size=len(times), max_size=len(times)))
     rows = draw(st.none() | st.lists(st.tuples(finite, finite), max_size=6))
-    initial = draw(finite)
-    config = {"initial_gate_shift": initial, "gate_bias": draw(finite),
+    config = {"initial_gate_shift": draw(finite), "gate_bias": draw(finite),
               "seed": draw(st.integers()), "barrier_includes_buffer": draw(st.booleans())}
-    events = None
-    if rows is not None:
-        with np.errstate(over="ignore"):
-            levels = cumulative_gate_shift(initial, [c for _, c in rows])
-        events = [TruthEvent(t, c, float(s)) for (t, c), s in zip(rows, levels[1:])]
+    events = None if rows is None else [TruthEvent(t, c) for t, c in rows]
     return Trace(draw(st.sampled_from([TIME_AXIS, GATE_AXIS])), times, values, events,
                  config, draw(st.integers(0, 2**63)), draw(st.integers(0, 2**63)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example(trace=Trace(TIME_AXIS, EXTREMES, EXTREMES[::-1],
-                     [TruthEvent(-0.0, 5e-324, 5e-324), TruthEvent(1e308, -0.0, 5e-324)],
+                     [TruthEvent(-0.0, 5e-324), TruthEvent(1e308, -0.0)],
                      {"initial_gate_shift": -0.0}))
 @given(trace=traces())
 def test_trace_text_round_trip_is_bit_exact(trace):
@@ -242,7 +237,7 @@ def test_trace_text_round_trip_is_bit_exact(trace):
         assert back.truth_events is None
     else:
         def fields_of(events):
-            return _bits([(e.time, e.coupling, e.gate_shift_after) for e in events])
+            return _bits([(e.time, e.coupling) for e in events])
         assert fields_of(back.truth_events) == fields_of(trace.truth_events)
 
 
@@ -438,10 +433,8 @@ def line_wise_trace_from_text(text):
     absorbed = typed("photons_absorbed", header.pop("photons_absorbed", 0), int)
     events = None
     if event_rows is not None:
-        initial_shift = typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
-        levels = cumulative_gate_shift(initial_shift, [c for _, c in event_rows])
-        events = [TruthEvent(t, c, float(s))
-                  for (t, c), s in zip(event_rows, levels[1:])]
+        typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
+        events = [TruthEvent(t, c) for t, c in event_rows]
     return Trace(axis_kind, np.array(times), np.array(values), events, header,
                  photons_incident=incident, photons_absorbed=absorbed)
 
@@ -454,7 +447,7 @@ def read_outcome(read, text):
     except Exception as exc:  # the exception type and message must match too
         return type(exc), str(exc)
     events = None if trace.truth_events is None else _bits(
-        [(e.time, e.coupling, e.gate_shift_after) for e in trace.truth_events])
+        [(e.time, e.coupling) for e in trace.truth_events])
     return (trace.axis_kind, _bits(trace.times), _bits(trace.conductance),
             {k: repr(v) for k, v in trace.config.items()},
             trace.photons_incident, trace.photons_absorbed, events)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble
+from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble, cumulative_gate_shift
 from qpcsim.simulate import (
     ExposureConfig,
     Trace,
@@ -102,9 +102,8 @@ def test_noiseless_baseline_reconstructs_from_truth_events(device):
     trace = simulate_exposure(device, build_ensemble(TrapConfig(), 17), source,
                               config)
     event_times = np.array([e.time for e in trace.truth_events])
-    shifts = np.array([e.gate_shift_after for e in trace.truth_events])
     idx = np.searchsorted(event_times, trace.times, side="right")
-    levels = np.concatenate([[0.0], shifts])
+    levels = cumulative_gate_shift(0.0, [e.coupling for e in trace.truth_events])
     rebuilt = np.asarray(conductance(
         trace.config["gate_bias"] + levels, device))[idx]
     assert np.array_equal(rebuilt, trace.conductance)
@@ -316,9 +315,8 @@ def test_each_run_starts_where_the_previous_run_ended(device, buffer_count, wave
         trace = simulate_exposure(device, ensemble, source, ExposureConfig(
             duration=duration, noise_sigma=0.0, seed=seed + k))
         if previous is not None:
-            events = previous.truth_events
-            last_shift = (events[-1].gate_shift_after if events
-                          else previous.config["initial_gate_shift"])
+            last_shift = cumulative_gate_shift(previous.config["initial_gate_shift"],
+                                               [e.coupling for e in previous.truth_events])[-1]
             assert trace.config["initial_gate_shift"] == last_shift
             assert trace.conductance[0] == previous.conductance[-1]
         previous = trace
@@ -345,6 +343,23 @@ def test_each_capture_and_run_passes_through_the_benchmark_span_points(device,
                               ExposureConfig())
     assert trace.photons_captured == 99
     assert calls == {"capture_photon": 99, "effective_gate_shift": 1}
+
+
+def test_exposure_over_the_mode_cap_captures_nothing(device, monkeypatch):
+    # the cap counts the shift levels the run would evaluate, 1 + its captures,
+    # and is checked before the first capture, so the caller's ensemble stays empty
+    from qpcsim import simulate
+    config = ExposureConfig(duration=600.0)
+    levels = 1 + simulate_exposure(device, build_ensemble(TrapConfig(), 1), PhotonSource(),
+                                   config).photons_captured
+    calls = []
+    capture = simulate.capture_photons
+    monkeypatch.setattr(simulate, "capture_photons",
+                        lambda *args: calls.append(args) or capture(*args))
+    ensemble = build_ensemble(TrapConfig(), 1)
+    with pytest.raises(ValueError, match=f"num_modes must be <= .* for {levels} gate points"):
+        simulate_exposure(DeviceParams(num_modes=1_000_000), ensemble, PhotonSource(), config)
+    assert ensemble.captured == [] and calls == []
 
 
 def test_device_snapshot_roundtrip(default_exposure, device):
