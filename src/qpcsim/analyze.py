@@ -31,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .simulate import csv_text, device_from_config
-from .transport import TIME_AXIS, DeviceParams, Trace, conductance, transconductance
+from .transport import (MAX_SAMPLES, TIME_AXIS, DeviceParams, Trace, conductance,
+                        transconductance)
 
 DEFAULT_WINDOW = 12
 DEFAULT_THRESHOLD = 4.0
@@ -158,8 +159,9 @@ def interval_statistics(events, bin_width: float = 0.0):
 
     `events` are anything with a `.time` (detected steps or truth events).
     A `bin_width` of 0 bins by a third of the fitted mean interval; one outside
-    [0, inf) is a ValueError, at any event count.  Returns (fit, (bin starts,
-    counts summing to len(events) - 1)), or (None, ()) below three events.
+    [0, inf) is a ValueError, at any event count, and so is one that needs
+    more than `MAX_SAMPLES` bins.  Returns (fit, (bin starts, counts summing
+    to len(events) - 1)), or (None, ()) below three events.
     """
     if not 0.0 <= bin_width < math.inf:
         raise ValueError(f"bin_width must be finite and >= 0, got {bin_width!r}")
@@ -168,6 +170,10 @@ def interval_statistics(events, bin_width: float = 0.0):
     intervals = np.diff([e.time for e in events])
     fit = fit_exponential(intervals)
     bin_width = bin_width or fit.mean_interval / 3.0
+    longest = float(intervals.max())
+    if longest / bin_width >= MAX_SAMPLES:  # bins = floor(longest / bin_width) + 1
+        raise ValueError(f"bin_width {bin_width!r} needs over {MAX_SAMPLES} histogram bins "
+                         f"for a longest interval of {longest!r} s")
     counts = np.bincount(np.floor(intervals / bin_width).astype(int))
     return fit, (np.arange(counts.size) * bin_width, counts)
 

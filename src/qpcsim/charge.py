@@ -17,13 +17,14 @@ set by its wavelength (absorption layer).
 
 An ensemble is the traps' couplings (the dopant traps first), the number
 of dopant traps, and `captured`, the filled traps in capture order.  A run
-captures its photons in one pass (`capture_photons`): one vectorized scan
-for the m empty eligible traps, then one `capture_photon` call per photon
-that draws from that free list and pops the trap it fills (O(m) pointer
-moves, small next to a rescan).  Each draw is the same scalar draw over the
-same ordered list as a rescan would make.  The trapped shift is the
-left-to-right sum over `captured`, so a later run starts bit for bit at the
-last level of the run before.
+captures its k photons in one pass (`capture_photons`): one vectorized scan
+for the m empty eligible traps, one `rng.integers` call for all k picks
+(pick j is uniform below m - j), then one `capture_photon` call per photon
+that pops its pick from that free list (O(m) pointer moves, the remaining
+cost at large m).  The picks and the generator state are those of k scalar
+draws over the same ordered list, as a rescan per photon would make.  The
+trapped shift is the left-to-right sum over `captured`, so a later run
+starts bit for bit at the last level of the run before.
 """
 
 from __future__ import annotations
@@ -184,20 +185,20 @@ def free_traps(ensemble: TrapEnsemble, layer: str) -> list[int]:
 
 
 def capture_photon(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator,
-                   free: list[int] | None = None) -> int | None:
+                   free: list[int] | None = None, pick: int | None = None) -> int | None:
     """Capture one photo-hole at a uniformly chosen eligible empty trap.
 
     Returns the newly occupied trap's index, or None once every eligible
     trap is already filled (saturation of the photoresponse; not an error).
     `free`, from `free_traps`, spares the scan: the trap is drawn from it
     and removed from it, so it stays exact while only these calls fill
-    traps.
+    traps.  `pick`, a position in `free` drawn beforehand, spares the draw.
     """
     if free is None:
         free = free_traps(ensemble, layer)
     if not free:
         return None
-    index = free.pop(rng.integers(len(free)))
+    index = free.pop(rng.integers(len(free)) if pick is None else pick)
     ensemble.captured.append(index)
     return index
 
@@ -208,15 +209,16 @@ def capture_photons(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator
 
     Returns the newly occupied traps' indices in capture order; the list is
     shorter than `count` once every eligible trap is filled (saturation,
-    not an error), and no draw is made past that point.  One scan serves
-    every `capture_photon` call; the calls pick the same traps, and leave
-    `rng` in the same state, as calls that each rescan the ensemble.
+    not an error), and no draw is made past that point.  One scan and one
+    `rng.integers` call serve every `capture_photon` call, which pops its
+    pick from the free list; the calls pick the same traps, and leave `rng`
+    in the same state, as calls that each rescan the ensemble and draw.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     free = free_traps(ensemble, layer)
-    return [capture_photon(ensemble, layer, rng, free)
-            for _ in range(min(count, len(free)))]
+    picks = rng.integers(0, np.arange(len(free), max(len(free) - count, 0), -1))
+    return [capture_photon(ensemble, layer, rng, free, pick) for pick in picks]
 
 
 def cumulative_gate_shift(initial: float, couplings) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import qpcsim
+from qpcsim import analyze
 from qpcsim.analyze import (
     StepEvent,
     _median,
@@ -460,3 +461,17 @@ def test_histogram_rejects_bin_width_outside_zero_to_inf(bad):
     events = [StepEvent(0.0, 0.1, 9.0), StepEvent(1.0, 0.1, 9.0)]
     with pytest.raises(ValueError, match="bin_width"):
         interval_statistics(events, bad)
+
+
+def test_histogram_rejects_a_bin_width_needing_over_max_samples_bins(monkeypatch):
+    # a 1e-9 s bin on a default run's intervals asked np.bincount for TiB of counts
+    steps = [StepEvent(t, 0.1, 9.0) for t in (0.0, 1.0, 3.0)]  # longest interval 2 s
+    with pytest.raises(ValueError, match="^bin_width 1e-09 needs over 10000000 histogram bins"):
+        interval_statistics(steps, 1e-9)
+    with pytest.raises(ValueError, match="bin_width"):
+        interval_statistics(steps, 5e-324)  # 2 / width overflows to inf
+    # the cap is on floor(longest / width) + 1 bins: 4 bins pass a cap of 4, 5 do not
+    monkeypatch.setattr(analyze, "MAX_SAMPLES", 4)
+    assert interval_statistics(steps, 0.6)[1][1].tolist() == [0, 1, 0, 1]
+    with pytest.raises(ValueError, match="^bin_width 0.5 needs over 4 histogram bins"):
+        interval_statistics(steps, 0.5)

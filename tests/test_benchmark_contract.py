@@ -4,7 +4,9 @@
 calls would otherwise pass here and break only the benchmark.  This test
 loads its workload and tracer modules unchanged, builds the tracer (which
 looks up every traced layer function), and runs each workload's unit once,
-traced, at the smoke sizes, then that unit's own correctness checks.
+traced, at the smoke sizes, then that unit's own correctness checks, and
+checks that each capture the unit made passed through the traced
+`capture_photon` once.
 """
 
 import importlib.util
@@ -35,6 +37,13 @@ def test_workload_runs_and_passes_its_checks_traced(name):
     workload = workloads.WORKLOADS[name](workloads.SMOKE_SIZES)
     with tracer.unit(name):
         out = workload.run(workload.unit_seed(1, 0))
-    assert set(workload.check(out)) == set(workload.makes)
+    made = workload.check(out)
+    assert set(made) == set(workload.makes)
     # every workload's unit reaches the transport layer through a traced name
-    assert "transport.conductance" in tracer.totals()
+    totals = tracer.totals()
+    assert "transport.conductance" in totals
+    # the per-layer capture metrics read one capture_photon span per capture
+    if "captures" in made:
+        span = totals["charge.capture_photon"]
+        assert made["captures"] > 0
+        assert span["calls"] == span["count"] == made["captures"]

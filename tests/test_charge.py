@@ -16,6 +16,7 @@ from qpcsim.charge import (
     capture_photons,
     cumulative_gate_shift,
     effective_gate_shift,
+    free_traps,
 )
 
 
@@ -255,6 +256,26 @@ def test_batched_capture_matches_rescan_per_photon(buffer_count, layer, fraction
     assert ens_c.captured == occupancy
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
     assert rng_c.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("buffer_count,count", [
+    (8_000, 8_000),        # buffer-700-saturate: every buffer trap filled
+    (2_099, 99),
+    (1_000_000, 1_000),
+])
+def test_one_draw_for_all_picks_matches_a_scalar_draw_per_capture(buffer_count, count):
+    # capture_photons draws all its picks in one rng.integers call; the
+    # reference draws each pick with its own scalar call over one shared free list
+    ens_a = build_ensemble(TrapConfig(buffer_trap_count=buffer_count), seed=11)
+    ens_b = TrapEnsemble(ens_a.couplings, ens_a.dopant_count)
+    rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+
+    batched = capture_photons(ens_a, LAYER_BUFFER, rng_a, count)
+    free = free_traps(ens_b, LAYER_BUFFER)
+    single = [capture_photon(ens_b, LAYER_BUFFER, rng_b, free) for _ in range(count)]
+
+    assert len(batched) == count and batched == single == ens_a.captured == ens_b.captured
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_capture_photons_stops_at_saturation():

@@ -438,6 +438,7 @@ def test_all_flags_together_write_the_same_files_as_their_config_lines(
     ("analyze", "--bin-width", "inf"),
     ("analyze", "--bin-width", "nan"),
     ("analyze", "--bin-width", "-1"),
+    ("analyze", "--bin-width", "1e-9"),  # over MAX_SAMPLES bins: exited 1 on a TiB array
 ])
 def test_bad_flag_or_config_value_exits_2_naming_the_key(tmp_path, short_trace, capsys,
                                                          command, flag, value):
@@ -448,6 +449,15 @@ def test_bad_flag_or_config_value_exits_2_naming_the_key(tmp_path, short_trace, 
         code, written = run_with(run_dir, command, short_trace, config_text, flags)
         err = capsys.readouterr().err
         assert code == 2 and name in err and written == {}
+
+
+def test_figures_bin_width_over_the_bin_cap_exits_2_naming_it(tmp_path, short_trace, capsys):
+    # reproduce-figures has no --bin-width flag, so the setting comes from its config
+    code, written = run_with(tmp_path / "run", "reproduce-figures", short_trace,
+                             BASE_CONFIG + "analysis.bin_width=1e-9\n")
+    err = capsys.readouterr().err
+    assert code == 2 and written == {}
+    assert err.startswith("qpcsim: invalid input: bin_width 1e-09 needs over 10000000")
 
 
 def test_bad_seed_exits_2_naming_it(tmp_path, capsys):
