@@ -337,7 +337,6 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
             device = device_from_config(trace.config)
         except KeyError as exc:
             raise ValueError(f"trace header lacks {exc.args[0]}") from None
-    device.require_mode_cap(MODEL_GRID_POINTS)  # checked even when no step needs the grid
     steps = detect_steps(trace, window=config.window, threshold=config.threshold)
 
     fit, histogram = interval_statistics(steps, config.bin_width)

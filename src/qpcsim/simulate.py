@@ -29,7 +29,6 @@ from .charge import (
     capture_photons,
     cumulative_gate_shift,
     effective_gate_shift,
-    free_traps,
 )
 from .transport import (
     GATE_AXIS,
@@ -123,9 +122,6 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
     # charge trapped in earlier runs persists: start from the current shift;
     # the first k absorbed photons fill the k traps, later ones change nothing
     initial_shift = effective_gate_shift(ensemble)
-    # G is evaluated once per shift level: check that count before any capture
-    free = len(free_traps(ensemble, layer)) if absorbed.size else 0
-    device.require_mode_cap(1 + min(absorbed.size, free))
     captured = capture_photons(ensemble, layer, rng, absorbed.size) if absorbed.size else []
     event_times, couplings = absorbed[:len(captured)], ensemble.couplings[captured]
     levels = cumulative_gate_shift(initial_shift, couplings)
@@ -176,7 +172,9 @@ def exposure_to_gate_equivalence(trace: Trace) -> Trace:
         raise ValueError("trace carries no truth events; cannot remap")
     if trace.axis_kind != TIME_AXIS:
         raise ValueError("only time-axis exposure traces can be remapped")
-    gate_bias = typed("gate_bias", trace.config.get("gate_bias", 0.0), float)
+    if "gate_bias" not in trace.config:
+        raise ValueError("trace header lacks gate_bias")
+    gate_bias = typed("gate_bias", trace.config["gate_bias"], float)
     initial_shift = typed("initial_gate_shift", trace.config.get("initial_gate_shift", 0.0),
                           float)
 

@@ -10,8 +10,10 @@ throughout; one unit is ~1/12906 ohm.
 
 Every mode shares the tunnel width and kT, so the thermally averaged
 transmission is one function Phi(x) of x = E_F - subband bottom.  G and
-dG/dV read Phi and Phi' from a table built once per device; an explicit
-`quad_order` integrates directly instead, as the oracle for the table.
+dG/dV sum Phi and Phi' a mode at a time, so no evaluation holds an array
+that grows with the mode count, from a table built once per device; an
+explicit `quad_order` integrates directly instead, as the oracle for the
+table.
 
 The shoulder below the first plateau is modeled phenomenologically by
 splitting the lowest mode into two weighted logistic components offset in
@@ -48,6 +50,11 @@ TIME_AXIS = "exposure-time"
 # Most samples a sweep or an exposure may ask for: each costs several float64
 # arrays and a row of text, so ~10^7 (58 days at the default 0.5 s) is the limit.
 MAX_SAMPLES = 10_000_000
+
+# Most transverse modes a device may have.  At the default 3.3e11 cm^-2,
+# lambda_F ~ 44 nm, so 64 modes is a hard-wall channel ~1.4 um wide: far
+# wider than a channel narrow enough to show quantized plateaus.
+MAX_MODES = 64
 
 
 def require_finite(config) -> None:
@@ -89,17 +96,10 @@ class DeviceParams:
         # G must rise monotonically with V for analyze to invert it
         if self.lever_arm <= 0:
             raise ValueError("lever_arm must be > 0")
-        if self.num_modes < 1:
-            raise ValueError("num_modes must be >= 1")
+        if not 1 <= self.num_modes <= MAX_MODES:
+            raise ValueError(f"num_modes must be in [1, {MAX_MODES}], got {self.num_modes}")
         if self.anomaly_enabled and not 0.0 < self.anomaly_weight < 1.0:
             raise ValueError("anomaly_weight must be in (0, 1)")
-
-    def require_mode_cap(self, points: int) -> None:
-        """Over `MAX_SAMPLES` lookups for `points` gate points (a row per mode, one
-        more for the shoulder) is a ValueError naming num_modes."""
-        if (self.num_modes + self.anomaly_enabled) * points > MAX_SAMPLES:
-            raise ValueError(f"num_modes must be <= {MAX_SAMPLES // points - self.anomaly_enabled}"
-                             f" for {points} gate points, got {self.num_modes}")
 
     @property
     def thermal_energy(self) -> float:
@@ -192,15 +192,20 @@ def _thermal_average(x, kt: float, tunnel_width: float, quad_order: int):
 
     x = E_F - subband bottom (meV); the derivatives are s T(1-T), s^2 T(1-T)(1-2T)
     and s^3 T(1-T)(1-6T+6T^2) under the same sum, with s = 2pi/tunnel_width.
+    Taken 256 points at a time, so memory does not grow with points x nodes.
     """
     offsets, kernel = _thermal_kernel(kt, quad_order)
     s = 2.0 * np.pi / tunnel_width
-    t = _logistic_transmission(offsets, -np.asarray(x, dtype=float)[..., None], tunnel_width)
-    dt = s * t * (1.0 - t)
-    moments = (t, dt, s * dt * (1.0 - 2.0 * t), s * s * dt * (1.0 - 6.0 * t * (1.0 - t)))
-    # Row by row, not a BLAS matrix-vector product, which rounds with the
-    # number of rows; conductance(v)[i] must equal conductance(v[i]).
-    return tuple((r * kernel).sum(axis=-1) for r in moments)
+    x = np.asarray(x, dtype=float)
+    out = np.empty((4, x.size))
+    for k in range(0, x.size, 256):  # larger blocks raise peak RSS
+        t = _logistic_transmission(offsets, -x.reshape(-1, 1)[k:k + 256], tunnel_width)
+        dt = s * t * (1.0 - t)
+        moments = (t, dt, s * dt * (1.0 - 2.0 * t), s * s * dt * (1.0 - 6.0 * t * (1.0 - t)))
+        # Row by row, not a BLAS matrix-vector product, which rounds with the
+        # number of rows; conductance(v)[i] must equal conductance(v[i]).
+        out[:, k:k + 256] = [(r * kernel).sum(axis=-1) for r in moments]
+    return tuple(out.reshape((4,) + x.shape))
 
 
 class _Hermite:
@@ -236,7 +241,7 @@ def _transmission_table(kt: float, tunnel_width: float):
     32 nodes per logistic scale w/2pi over x in +-(10 kT + 40 w/2pi); the
     two end cells are pinned to Phi = 0 and 1 with zero derivatives, since
     past them every T(u_k + x) is within 5e-18 of 0 or 1.  None when that
-    takes over 2^18 nodes (kT above ~130 w, 25 MB), for direct quadrature.
+    takes over 2^18 nodes (kT above ~65 w, 25 MB), for direct quadrature.
     """
     scale = tunnel_width / (2.0 * np.pi)
     h, half = scale / 32.0, THERMAL_WINDOW_KT * kt + 40.0 * scale
@@ -244,9 +249,7 @@ def _transmission_table(kt: float, tunnel_width: float):
     if n > 2**18:
         return None
     x = -half + h * np.arange(n)
-    phi, d1, d2, d3 = (np.concatenate(parts) for parts in zip(*(
-        _thermal_average(x[k:k + 256], kt, tunnel_width, QUAD_ORDER)
-        for k in range(0, n, 256))))
+    phi, d1, d2, d3 = _thermal_average(x, kt, tunnel_width, QUAD_ORDER)
     for f, pinned in ((phi, 1.0), (d1, 0.0), (d2, 0.0), (d3, 0.0)):
         f[:2], f[-2:] = 0.0, pinned
     return (_Hermite(x[0], h, phi, d1, d2, 0.0, 1.0),
@@ -256,27 +259,23 @@ def _transmission_table(kt: float, tunnel_width: float):
 def _mode_sum(effective_gate_voltage, params: DeviceParams, quad_order, order: int):
     """Sum over modes of Phi (order 0) or Phi' (order 1) at x = E_F - subband bottom.
 
-    From the device's table, or by quadrature when quad_order is given.  With
-    the shoulder model, mode 0 mixes Phi(x) and Phi(x - anomaly_split).
+    From the device's table, or by quadrature when quad_order is given; a mode
+    at a time, so memory does not grow with num_modes.  With the shoulder
+    model, mode 0 mixes Phi(x) and Phi(x - anomaly_split).
     """
     scalar_in = np.isscalar(effective_gate_voltage)
     v = np.atleast_1d(np.asarray(effective_gate_voltage, dtype=float))
-    params.require_mode_cap(v.size)  # before any array of modes is built
     kt, width = params.thermal_energy, params.tunnel_width
     table = None if quad_order else _transmission_table(kt, width)
-    phi = table[order] if table else (lambda x: np.array([  # a mode at a time: memory
-        _thermal_average(row, kt, width, quad_order or QUAD_ORDER)[order] for row in x]))
-    # one lookup for all modes; with the shoulder, a last row for mode 0's late part
-    modes = np.arange(params.num_modes).reshape((-1,) + (1,) * v.ndim)
-    x = params.fermi_energy - params.subband_bottom(modes, v)
+    phi = table[order] if table else (
+        lambda x: _thermal_average(x, kt, width, quad_order or QUAD_ORDER)[order])
+    x = params.fermi_energy - params.subband_bottom(0, v)
+    total = phi(x)
     if params.anomaly_enabled:
-        x = np.concatenate([x, x[:1] - params.anomaly_split])
-    r = phi(x)
-    if params.anomaly_enabled:
-        r[0] = params.anomaly_weight * r[0] + (1.0 - params.anomaly_weight) * r[-1]
-    total = r[0]
+        total = (params.anomaly_weight * total
+                 + (1.0 - params.anomaly_weight) * phi(x - params.anomaly_split))
     for n in range(1, params.num_modes):
-        total = total + r[n]
+        total = total + phi(params.fermi_energy - params.subband_bottom(n, v))
     return float(total[0]) if scalar_in else total
 
 

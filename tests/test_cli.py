@@ -580,41 +580,29 @@ def test_analyze_names_a_missing_device_key(tmp_path, short_trace, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,limit", [
-    ("sweep", "16637 for 601"),  # the sweep's points, one more row for the shoulder
-    ("expose", ""),  # one point per capture level
-    ("analyze", "2498 for 4001"),  # the model grid's points
-    ("reproduce-figures", "16637 for 601"),
-])
-def test_oversized_num_modes_exits_2_naming_it(tmp_path, short_trace, capsys, command,
-                                                limit):
-    # 10^8 modes used to exit 1 with a failed allocation of modes x gate points
-    # (763 MiB for the mode indices alone); now no array of them is built
-    trace = tmp_path / "edited.csv"
-    trace.write_text(short_trace.read_text().replace("# device_num_modes=5\n",
-                                                     "# device_num_modes=100000000\n"))
-    assert "# device_num_modes=100000000\n" in trace.read_text()
-    config = "" if command == "analyze" else "device.num_modes=100000000\n"
-    code, written = run_with(tmp_path / "run", command, trace, BASE_CONFIG + config)
-    err = capsys.readouterr().err
+@pytest.mark.parametrize("command", ["sweep", "expose", "analyze", "reproduce-figures"])
+def test_num_modes_over_the_cap_exits_2_naming_it(tmp_path, short_trace, capsys, command):
+    # read with the config, before anything is drawn or written
+    code, written = run_with(tmp_path / "run", command, short_trace,
+                             BASE_CONFIG + "device.num_modes=65\n")
     assert code == 2 and written == {}
-    assert err.startswith(f"qpcsim: invalid input: num_modes must be <= {limit}")
-    assert err.endswith(" gate points, got 100000000\n")
+    assert capsys.readouterr().err == ("qpcsim: config error: device: num_modes must be "
+                                       "in [1, 64], got 65\n")
 
 
 def test_analyze_checks_num_modes_before_detecting_steps(tmp_path, capsys):
     # a 900 nm run absorbs nothing, so its trace has no steps and the model
-    # grid is never built; 10^8 modes in its header are refused all the same
+    # grid is never built; 65 modes in its header are refused all the same
     assert main(["expose", "--wavelength", "900", "--duration", "300",
                  "--out", str(tmp_path)]) == 0
     trace = tmp_path / "exposure_trace.csv"
     text = trace.read_text()
     assert "# device_num_modes=5\n" in text
-    trace.write_text(text.replace("# device_num_modes=5\n", "# device_num_modes=100000000\n"))
+    trace.write_text(text.replace("# device_num_modes=5\n", "# device_num_modes=65\n"))
     out = tmp_path / "out"
     assert main(["analyze", str(trace), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("qpcsim: invalid input: num_modes must be <= 2498 "
-                                       "for 4001 gate points, got 100000000\n")
+    assert capsys.readouterr().err == ("qpcsim: invalid input: num_modes must be in [1, 64], "
+                                       "got 65\n")
     assert not out.exists()
 
 

@@ -27,7 +27,7 @@ from qpcsim.simulate import (
     trace_to_text,
     typed,
 )
-from qpcsim.transport import GATE_AXIS, MAX_SAMPLES, TIME_AXIS, DeviceParams
+from qpcsim.transport import GATE_AXIS, MAX_MODES, MAX_SAMPLES, TIME_AXIS, DeviceParams
 
 EXPOSURE_CONFIG = {
     "kind": "exposure", "seed": 17516981595989274400, "gate_bias": -1.5,
@@ -257,7 +257,7 @@ run_configs = st.builds(
     device=st.builds(
         DeviceParams, fermi_energy=finite, temperature=positive, mode_spacing=positive,
         tunnel_width=positive, lever_arm=positive, threshold_voltage=finite,
-        num_modes=st.integers(1, 10**6), anomaly_enabled=st.booleans(),
+        num_modes=st.integers(1, MAX_MODES), anomaly_enabled=st.booleans(),
         anomaly_weight=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         anomaly_split=finite),
     traps=st.builds(

@@ -234,6 +234,18 @@ def test_remap_names_a_mistyped_gate_bias(default_exposure, tmp_path):
         exposure_to_gate_equivalence(read_trace(path))
 
 
+def test_remap_names_a_missing_gate_bias(default_exposure, tmp_path):
+    # read as 0.0, the remapped curve started at 0 V instead of the run's bias
+    trace, _ = default_exposure
+    lines = trace_to_text(trace).splitlines()
+    kept = [line for line in lines if not line.startswith("# gate_bias=")]
+    assert len(kept) == len(lines) - 1
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(kept) + "\n")
+    with pytest.raises(ValueError, match="^trace header lacks gate_bias$"):
+        exposure_to_gate_equivalence(read_trace(path))
+
+
 def test_remap_requires_truth_events(device):
     trace = simulate_gate_sweep(device, -1.5, -1.3, 50, 0.0, 1)
     with pytest.raises(ValueError):
@@ -345,21 +357,16 @@ def test_each_capture_and_run_passes_through_the_benchmark_span_points(device,
     assert calls == {"capture_photon": 99, "effective_gate_shift": 1}
 
 
-def test_exposure_over_the_mode_cap_captures_nothing(device, monkeypatch):
-    # the cap counts the shift levels the run would evaluate, 1 + its captures,
-    # and is checked before the first capture, so the caller's ensemble stays empty
-    from qpcsim import simulate
-    config = ExposureConfig(duration=600.0)
-    levels = 1 + simulate_exposure(device, build_ensemble(TrapConfig(), 1), PhotonSource(),
-                                   config).photons_captured
+def test_exposure_scans_the_free_traps_once(device, monkeypatch):
+    # capture_photons makes the run's one scan for empty traps
+    from qpcsim import charge, simulate
     calls = []
-    capture = simulate.capture_photons
-    monkeypatch.setattr(simulate, "capture_photons",
-                        lambda *args: calls.append(args) or capture(*args))
-    ensemble = build_ensemble(TrapConfig(), 1)
-    with pytest.raises(ValueError, match=f"num_modes must be <= .* for {levels} gate points"):
-        simulate_exposure(DeviceParams(num_modes=1_000_000), ensemble, PhotonSource(), config)
-    assert ensemble.captured == [] and calls == []
+    scan = charge.free_traps
+    monkeypatch.setattr(charge, "free_traps", lambda *args: calls.append(args) or scan(*args))
+    trace = simulate_exposure(device, build_ensemble(TrapConfig(), 1), PhotonSource(),
+                              ExposureConfig())
+    assert trace.photons_captured == 99 and len(calls) == 1
+    assert not hasattr(simulate, "free_traps")
 
 
 def test_device_snapshot_roundtrip(default_exposure, device):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from qpcsim import transport
 from qpcsim.transport import (
     GATE_AXIS,
     KB_MEV_PER_K,
+    MAX_MODES,
     MAX_SAMPLES,
     PINCH_MARGIN_MEV,
     ConductanceCurve,
@@ -173,19 +175,38 @@ def test_sweep_length_is_capped_before_allocating(device):
         sweep(-1.5, -1.3, 10**11, device)
 
 
-@pytest.mark.parametrize("anomaly,rows", [(True, 6), (False, 5)])
+def test_num_modes_is_capped_by_the_device():
+    with pytest.raises(ValueError, match=rf"^num_modes must be in \[1, {MAX_MODES}\], "
+                                         rf"got {MAX_MODES + 1}$"):
+        DeviceParams(num_modes=MAX_MODES + 1)
+    device = DeviceParams(num_modes=MAX_MODES)
+    # the last subband opens ~8 V above threshold at the default spacing and lever arm
+    g = sweep(-1.6, 7.5, 20001, device).conductance
+    assert np.all(np.diff(g) >= 0.0)
+    assert g[0] >= 0.0 and g[-1] <= MAX_MODES and g[-1] > MAX_MODES - 0.5
+
+
+def _peak_bytes(evaluate, v, params):
+    evaluate(v[:1], params)  # the table is cached per device: build it untraced
+    tracemalloc.start()
+    try:
+        evaluate(v, params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("evaluate", [conductance, transconductance])
-def test_modes_times_gate_points_is_capped(monkeypatch, evaluate, anomaly, rows):
-    # one lookup row per mode, and one more for the shoulder's late part
-    params = DeviceParams(anomaly_enabled=anomaly)
-    monkeypatch.setattr(transport, "MAX_SAMPLES", 2 * rows)
-    v = np.linspace(-1.5, -1.3, 3)
-    assert np.shape(evaluate(v[:2], params)) == (2,)
-    assert np.shape(evaluate(v[:2], params, quad_order=40)) == (2,)
-    for quad_order in (None, 40):
-        with pytest.raises(ValueError, match="^num_modes must be <= 3 for 3 gate points, "
-                                             "got 5$"):
-            evaluate(v, params, quad_order=quad_order)
+def test_evaluation_memory_does_not_grow_with_num_modes(evaluate):
+    v = np.linspace(-1.6, 7.5, 10**5)
+    one = _peak_bytes(evaluate, v, DeviceParams(num_modes=1))
+    assert _peak_bytes(evaluate, v, DeviceParams(num_modes=MAX_MODES)) <= 1.5 * one
+
+
+def test_quadrature_fallback_memory_does_not_grow_with_points():
+    hot = DeviceParams(temperature=2000.0, tunnel_width=0.1)  # kT ~ 1700 w: no table
+    assert transport._transmission_table(hot.thermal_energy, hot.tunnel_width) is None
+    assert _peak_bytes(conductance, np.linspace(-5.0, 5.0, 20_000), hot) < 16 * 2**20
 
 
 def test_shoulder_is_dgdv_minimum_in_conductance_window(device):
