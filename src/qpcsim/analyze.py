@@ -124,8 +124,8 @@ def detect_steps(trace: Trace, window: int = DEFAULT_WINDOW,
         raise ValueError("step detection requires a time-axis exposure trace")
     if window < 2:
         raise ValueError("window must be >= 2")
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"threshold must be finite and > 0, got {threshold!r}")
     x = trace.conductance
     if x.size < 2 * window:
         raise ValueError("trace must contain at least 2*window samples")

@@ -361,7 +361,10 @@ def trace_from_text(text: str) -> Trace:
     if blocks["events"] is not None:
         # must be a number: the shift levels are rebuilt from it
         typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
-        events = list(map(TruthEvent, *np.concatenate(blocks["events"]).T.tolist()))
+        event_times, couplings = np.concatenate(blocks["events"]).T
+        if not (np.isfinite(event_times).all() and np.all(np.diff(event_times) >= 0)):
+            raise ValueError("events section: times must be finite and non-decreasing")
+        events = list(map(TruthEvent, event_times.tolist(), couplings.tolist()))
 
     return Trace(axis_kind, times, values, events, header,
                  photons_incident=incident, photons_absorbed=absorbed)

@@ -36,13 +36,10 @@ KB_MEV_PER_K = 0.08617333262
 # (G <= 0.02) right at threshold and opens just above it.
 PINCH_MARGIN_MEV = 1.45
 
-# Gauss-Legendre nodes across the thermal window.  160 nodes resolve the
-# logistic transmission scale (tunnel_width / 2pi ~ 0.08 meV) well enough
-# that doubling the order changes G by < 1e-10.
-QUAD_ORDER = 160
-
-# Thermal window half-width in units of k_B*T.
-THERMAL_WINDOW_KT = 10.0
+# Trapezoid nodes over +-40 of the narrower of kT and tunnel_width / 2pi.  At
+# 161 the spacing is half that scale, and the rule converges like
+# exp(-2pi^2 narrow / spacing) ~ 1e-17 for every device.
+QUAD_ORDER = 161
 
 GATE_AXIS = "gate-voltage"
 TIME_AXIS = "exposure-time"
@@ -170,16 +167,20 @@ ConductanceCurve = Trace
 
 
 @lru_cache(maxsize=8)
-def _thermal_kernel(kt: float, quad_order: int):
-    """Quadrature offsets from E_F and normalized (-df/dE) weights over +-10 kT.
+def _thermal_kernel(kt: float, tunnel_width: float, quad_order: int):
+    """Trapezoid offsets and normalized weights over +-40 narrower scales, and the wider scale.
 
-    Cached and shared between callers, so the arrays are read-only.
+    Phi(x) is the CDF at x of the sum of two logistic variables of scales kT
+    (-df/dE) and w/2pi (the transmission step), so it is symmetric in them:
+    the rule integrates the narrower density against the wider CDF.  Cached
+    and shared between callers, so the arrays are read-only.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    kernel = weights / (4.0 * np.cosh(0.5 * THERMAL_WINDOW_KT * nodes) ** 2)
-    offsets, kernel = THERMAL_WINDOW_KT * kt * nodes, kernel / kernel.sum()
+    narrow, wide = sorted((kt, tunnel_width / (2.0 * np.pi)))
+    y = np.linspace(-40.0, 40.0, quad_order)
+    offsets, kernel = narrow * y, 1.0 / (4.0 * np.cosh(0.5 * y) ** 2)
+    kernel /= kernel.sum()
     offsets.flags.writeable = kernel.flags.writeable = False
-    return offsets, kernel
+    return offsets, kernel, wide
 
 
 def _logistic_transmission(energy, subband_bottom, tunnel_width):
@@ -188,18 +189,19 @@ def _logistic_transmission(energy, subband_bottom, tunnel_width):
 
 
 def _thermal_average(x, kt: float, tunnel_width: float, quad_order: int):
-    """Phi(x) = sum_k K_k T(u_k + x) and its first three x-derivatives, by quadrature.
+    """Phi(x) = sum_k K_k F(x + u_k) and its first three x-derivatives, by quadrature.
 
-    x = E_F - subband bottom (meV); the derivatives are s T(1-T), s^2 T(1-T)(1-2T)
-    and s^3 T(1-T)(1-6T+6T^2) under the same sum, with s = 2pi/tunnel_width.
+    F is the logistic CDF of the wider scale and K the narrower density at the
+    offsets u_k; the derivatives are s F(1-F), s^2 F(1-F)(1-2F) and
+    s^3 F(1-F)(1-6F+6F^2) under the same sum, with s = 1/wide.
     Taken 256 points at a time, so memory does not grow with points x nodes.
     """
-    offsets, kernel = _thermal_kernel(kt, quad_order)
-    s = 2.0 * np.pi / tunnel_width
+    offsets, kernel, wide = _thermal_kernel(kt, tunnel_width, quad_order)
+    s = 1.0 / wide
     x = np.asarray(x, dtype=float)
     out = np.empty((4, x.size))
     for k in range(0, x.size, 256):  # larger blocks raise peak RSS
-        t = _logistic_transmission(offsets, -x.reshape(-1, 1)[k:k + 256], tunnel_width)
+        t = _logistic_transmission(offsets, -x.reshape(-1, 1)[k:k + 256], 2.0 * np.pi * wide)
         dt = s * t * (1.0 - t)
         moments = (t, dt, s * dt * (1.0 - 2.0 * t), s * s * dt * (1.0 - 6.0 * t * (1.0 - t)))
         # Row by row, not a BLAS matrix-vector product, which rounds with the
@@ -238,17 +240,13 @@ class _Hermite:
 def _transmission_table(kt: float, tunnel_width: float):
     """(Phi, Phi') interpolants for one temperature and tunnel width.
 
-    32 nodes per logistic scale w/2pi over x in +-(10 kT + 40 w/2pi); the
-    two end cells are pinned to Phi = 0 and 1 with zero derivatives, since
-    past them every T(u_k + x) is within 5e-18 of 0 or 1.  None when that
-    takes over 2^18 nodes (kT above ~65 w, 25 MB), for direct quadrature.
+    32 nodes per wider scale over x in +-40 (kT + w/2pi): 2560 (1 + narrow/wide)
+    cells, at most 5,121 nodes.  The two end cells are pinned to Phi = 0 and 1
+    with zero derivatives, since past them Phi is within 1e-17 of 0 or 1.
     """
-    scale = tunnel_width / (2.0 * np.pi)
-    h, half = scale / 32.0, THERMAL_WINDOW_KT * kt + 40.0 * scale
-    n = int(math.ceil(2.0 * half / h)) + 1
-    if n > 2**18:
-        return None
-    x = -half + h * np.arange(n)
+    narrow, wide = sorted((kt, tunnel_width / (2.0 * np.pi)))
+    h, half = wide / 32.0, 40.0 * (narrow + wide)
+    x = -half + h * np.arange(math.ceil(2560.0 * (1.0 + narrow / wide)) + 1)
     phi, d1, d2, d3 = _thermal_average(x, kt, tunnel_width, QUAD_ORDER)
     for f, pinned in ((phi, 1.0), (d1, 0.0), (d2, 0.0), (d3, 0.0)):
         f[:2], f[-2:] = 0.0, pinned
@@ -266,9 +264,8 @@ def _mode_sum(effective_gate_voltage, params: DeviceParams, quad_order, order: i
     scalar_in = np.isscalar(effective_gate_voltage)
     v = np.atleast_1d(np.asarray(effective_gate_voltage, dtype=float))
     kt, width = params.thermal_energy, params.tunnel_width
-    table = None if quad_order else _transmission_table(kt, width)
-    phi = table[order] if table else (
-        lambda x: _thermal_average(x, kt, width, quad_order or QUAD_ORDER)[order])
+    phi = (_transmission_table(kt, width)[order] if not quad_order else
+           lambda x: _thermal_average(x, kt, width, quad_order)[order])
     x = params.fermi_energy - params.subband_bottom(0, v)
     total = phi(x)
     if params.anomaly_enabled:
@@ -283,10 +280,9 @@ def conductance(effective_gate_voltage, params: DeviceParams,
                 quad_order: int | None = None) -> np.ndarray | float:
     """Linear-response conductance (units of 2e^2/h) at a gate voltage.
 
-    Sum over modes of the transmission averaged against the normalized
-    thermal kernel (-df/dE) over E_F +- 10 k_B T, read from the device's
-    table; an explicit quad_order integrates directly instead.  Accepts
-    scalars or arrays.
+    Sum over modes of the transmission averaged against the thermal kernel
+    (-df/dE) around E_F, read from the device's table; an explicit
+    quad_order integrates directly instead.  Accepts scalars or arrays.
     """
     return _mode_sum(effective_gate_voltage, params, quad_order, 0)
 

@@ -435,6 +435,8 @@ def test_all_flags_together_write_the_same_files_as_their_config_lines(
     ("reproduce-figures", "--noise", "nan"),
     ("analyze", "--window", "1"),
     ("analyze", "--threshold", "nan"),
+    ("analyze", "--threshold", "-5"),  # exited 0 with every local maximum a step
+    ("analyze", "--threshold", "0"),
     ("analyze", "--bin-width", "inf"),
     ("analyze", "--bin-width", "nan"),
     ("analyze", "--bin-width", "-1"),
@@ -511,6 +513,23 @@ def test_analyze_second_events_section_exits_2(tmp_path, short_trace, capsys):
     assert main(["analyze", str(path), "--out", str(tmp_path)]) == 2
     assert "events section" in capsys.readouterr().err
     assert not (tmp_path / "analysis_report.txt").exists()
+
+
+@pytest.mark.parametrize("edit", ["swap", "nan"])
+def test_analyze_unordered_or_nan_event_times_exit_2(tmp_path, short_trace, capsys, edit):
+    # both were read back, and the gate-equivalence map dropped a capture
+    lines = short_trace.read_text().splitlines()
+    first = lines.index("events") + 2
+    if edit == "swap":
+        lines[first:first + 2] = lines[first + 1], lines[first]
+    else:
+        lines.insert(first, "nan,-0.5")
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--out", str(out)]) == 2
+    assert "events section: times must be finite and non-decreasing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_unknown_section_exits_2_naming_the_line(tmp_path, short_trace, capsys):

@@ -210,7 +210,7 @@ def _bits(values) -> bytes:
 def traces(draw):
     times = sorted(draw(st.lists(finite, min_size=1, max_size=20, unique=True)))
     values = draw(st.lists(finite, min_size=len(times), max_size=len(times)))
-    rows = draw(st.none() | st.lists(st.tuples(finite, finite), max_size=6))
+    rows = draw(st.none() | st.lists(st.tuples(finite, finite), max_size=6).map(sorted))
     config = {"initial_gate_shift": draw(finite), "gate_bias": draw(finite),
               "seed": draw(st.integers()), "barrier_includes_buffer": draw(st.booleans())}
     events = None if rows is None else [TruthEvent(t, c) for t, c in rows]
@@ -391,7 +391,8 @@ def test_column_writer_rejects_unequal_lengths(lengths):
 def line_wise_trace_from_text(text):
     """`trace_from_text` as it was when every data line went through `float`.
 
-    Header values are typed by the same rule, in the same order.
+    Header values are typed by the same rule, in the same order, and the
+    event times must be finite and non-decreasing.
     """
     header = {}
     times, values = [], []
@@ -434,6 +435,10 @@ def line_wise_trace_from_text(text):
     events = None
     if event_rows is not None:
         typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
+        event_times = [t for t, _ in event_rows]
+        if not all(math.isfinite(t) for t in event_times) or \
+                any(b < a for a, b in zip(event_times, event_times[1:])):
+            raise ValueError("events section: times must be finite and non-decreasing")
         events = [TruthEvent(t, c) for t, c in event_rows]
     return Trace(axis_kind, np.array(times), np.array(values), events, header,
                  photons_incident=incident, photons_absorbed=absorbed)

@@ -9,13 +9,22 @@ numpy's `exp`, `cosh` and `log` give different last bits on different SIMD
 tiers, so one digest set is kept per numpy version and per enabled state of
 the AVX-512 features; the AVX2 set is the run with
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".  Where no set
-matches the running numpy, the test skips and says why.
+matches the running numpy, the test skips and says why.  On an AVX-512 host
+a second test reruns it in a subprocess under that variable, so one run
+checks both sets.
 """
 
 import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qpcsim
 
 from qpcsim.cli import main
 
@@ -38,101 +47,101 @@ DIGESTS = {
     AVX512: {
         1: {
             "analysis_report.txt":
-                "461e319792ea44ea458ca557723fd0c17d7a8fddd333b07f94769f1955d68f64",
+                "ac3b89c584de9e275d59df1cc38941fad43725abc9c3d3e9514d1d20ab953611",
             "exposure_trace.csv":
-                "3efca028df092e52133a9d071a04349aade8e426ddf50c29e2c119c2c770073d",
+                "59dda836dd4ae088c00c5930982916c247e748ac3bac9e5bc500fd66ea26480c",
             "overlay_gate_photo.csv":
-                "c8796f359e523f1671e996f075f973cebae85356bbcf3fbc48f7c5619720b53e",
+                "947b0252261cd5dff05e2595860b09ff6b628d7dd8a1a75a23305602e7e5911b",
             "photon_interval_histogram.csv":
                 "da6df5c35fad0a5b10aea33f8fa5490e3ca04a4f966cab77ad3273822bc4ab98",
             "step_heights_vs_transconductance.csv":
-                "e3140d0780b38728d6306f9f4da0ff1a6095aabc297c9f03216123fa1e8b0eda",
+                "9623e1d3a99b4f8adb3f5ba21b00bae1e566d9d2d16f3e503c9675bbd2caa8aa",
             "sweep_differential.csv":
-                "0d147dce21890229c67aeb2ff9713b38fa487f5229291c8496ad2fa71022b14f",
+                "fc945b2f5797c0c0c4990ac4091d82a19f3b6d120ceef06d6cb3089e905fb5f3",
             "sweep_trace.csv":
-                "0789fb9f2a4f09f09ac236dd6ea68b71970eb092a2a1d6a537fb6d0d36bd9215",
+                "b9ba1424a71e9b5171095bbfc52e2c27610a0325a581bc1b09ca10eaa99406e2",
         },
         3: {
             "analysis_report.txt":
-                "30160c9a5901228493a31195d42769a957ad6a64aae943e75ff78d9f9a537d85",
+                "c4523ad64e74e548c16e43cf9e52dc0eacef1525510e14ffa901383babeb57d6",
             "exposure_trace.csv":
-                "ccafcaf7fa2d9aba2fc609a4eb5f41772b86b49f2c51a748194657c310c6d7d5",
+                "7833a6ee754a078478ce868d6adeec4ff5bfe6a483ac0b1f7fac60488eada868",
             "overlay_gate_photo.csv":
-                "a28659ed40a3d9ea08f1d9a5b82b10e0a0696a1d1ebe7677970772413769c78a",
+                "d1dfd5816e027317d49de9e5d0f81e7dcc4b81337d91f717927cef46bbdb5103",
             "photon_interval_histogram.csv":
                 "3951536224231b4ce612bb25c40b386dd5e6bbf7a5ab0631b6b3a7ad93268654",
             "step_heights_vs_transconductance.csv":
-                "d68eecc10238551657f443fc14cdea16b33b40d5729c76502b30def6ae4b2b7c",
+                "966dd6f062443d8180604acbf1889fcb0673db273d1287c214d41c2bc452fa57",
             "sweep_differential.csv":
-                "0d147dce21890229c67aeb2ff9713b38fa487f5229291c8496ad2fa71022b14f",
+                "fc945b2f5797c0c0c4990ac4091d82a19f3b6d120ceef06d6cb3089e905fb5f3",
             "sweep_trace.csv":
-                "23c9d2e69778c3a40e17c44361dd51302437ba742b580e1454a3c9fc56c604ba",
+                "dc544951ea5bb04a714d11f7ec47cbee613cf69cf977cb061bc57d84666b49e6",
         },
         57: {
             "analysis_report.txt":
-                "c8e79509c873750d27cb158d5af6377af23f36fb5054bc8d288e9a600bd41279",
+                "54df0863923a0a91bffb35f4f080830e545a29d1a1fbfdaa4424b175189c08b9",
             "exposure_trace.csv":
-                "5ef5a2cd46600167297ed5ee7aabad6d6adbf7e4f84f8c3d621bc67390675c5c",
+                "09099e3f96c2d07dd18c6a1b3ba1ec5ab50d597928519b82c78f253f001b1b87",
             "overlay_gate_photo.csv":
-                "1385c5d76359dd391b6728d451e02472929d849256cb0c52e1fa3dd844e93303",
+                "cc7c3ebc9b8a58cd962bafec14803849c25042106772b7354d282ca327e23608",
             "photon_interval_histogram.csv":
                 "0639c03910b2552089ae41b1c61ceff42ac053b1d24a4ba3cc22b4a299637a27",
             "step_heights_vs_transconductance.csv":
-                "33df8cd4abf2004c4ce1d416107615531be6b6e8defe63b96d6fac7ee43edf1a",
+                "b79df007e72d96f8fbd4a7bd65a97c14e76413eabe358e55db392d6b5389d98e",
             "sweep_differential.csv":
-                "0d147dce21890229c67aeb2ff9713b38fa487f5229291c8496ad2fa71022b14f",
+                "fc945b2f5797c0c0c4990ac4091d82a19f3b6d120ceef06d6cb3089e905fb5f3",
             "sweep_trace.csv":
-                "992ccf2731b290ee57c0573745770bd052744e967f681ba950043e558adc40e8",
+                "2219b5fce572cc1bebca81be49198450f7775fb3572a1564e955c3b8982d5c5e",
         },
     },
     AVX2: {
         1: {
             "analysis_report.txt":
-                "99dad9d4aff2e14773a44db2b9e42cd6b50c28f7c73a6da914e74ea5adfce5b7",
+                "a060f386c211015fec64011b45ca7ab273be3ded753f08f35fd850c93b646e98",
             "exposure_trace.csv":
-                "62c791b03563019e0d6d63ff75ed2425b27ec4f60c8227e41e94d44fc8ea0670",
+                "0038166193f04e426504e29229a196d67dbe1b706390f92c0bdbb0180aa730e8",
             "overlay_gate_photo.csv":
-                "657c57d49ac771f2c8c694870931af98659ce1f79884e36f3f9a718701933812",
+                "ded9d50f1001601f5c30a205ab1dde15b75166b432a561e60a5a8b5704ee1cc4",
             "photon_interval_histogram.csv":
                 "da6df5c35fad0a5b10aea33f8fa5490e3ca04a4f966cab77ad3273822bc4ab98",
             "step_heights_vs_transconductance.csv":
-                "87ae54ac54dc8130a2230f7febb28034fbfb125b5a3f22fb60957743b829b3df",
+                "4afb5e0240476c25316398cc14863ac45f6c264f91fe6c2e5a670faec4c6f82b",
             "sweep_differential.csv":
-                "029fee0fb341b1d208e9f9343da635f5eb9e9a7ca1dfb5f6647ca42966006ddf",
+                "34347a6623a52f27296fa0aef1ec68c49d87bc6dd5e5aa185b0ba3bdb73b1eb3",
             "sweep_trace.csv":
-                "472c938d789bdcd8f1e567c5fecb033cc39b516d3fdcc03a31617ff5b00491ac",
+                "5069f41a4410db8de66f048e452e2b714af2a4d4a2b6eeda1c64ea3aa9a067e7",
         },
         3: {
             "analysis_report.txt":
-                "51a5e43bb16021ec5cea61bf6e3ac2aa94fd03b2a71ed260f7ac14bee7f22f31",
+                "ab0eb469a971ee5f5511b886f708ce006e194ce8ae7804d6b8b4e1c0526aa0ba",
             "exposure_trace.csv":
-                "75516bb428d36830b0221ea9291e65324b8345c9371abdab87d3f826ce6f9512",
+                "cc9f08d790f3998fe7aac7edb54f90c393592526fa2613fa7883f1c841ee5b08",
             "overlay_gate_photo.csv":
-                "c029e07b1f2075f7c74e5e0c1df1948d927a0a5e3af8e7f51f73883a909482ee",
+                "6953985ec0fb0450df632158826f92dc67f2ba5bab270fdf74aec1a834c37d6c",
             "photon_interval_histogram.csv":
                 "3951536224231b4ce612bb25c40b386dd5e6bbf7a5ab0631b6b3a7ad93268654",
             "step_heights_vs_transconductance.csv":
-                "f5fd2a003a85eec9d77af6c06cbc0d0b81baace41d4580bb4b33fd6c63370203",
+                "744daeef7a6a0085220e924f0195787f5539a9c2d9ddef4f3bcfdc67ee0e6e62",
             "sweep_differential.csv":
-                "029fee0fb341b1d208e9f9343da635f5eb9e9a7ca1dfb5f6647ca42966006ddf",
+                "34347a6623a52f27296fa0aef1ec68c49d87bc6dd5e5aa185b0ba3bdb73b1eb3",
             "sweep_trace.csv":
-                "cbfa00eb824cfc0ecb643b64d902cd7920c9ddab8c2c2a5af3df58b5c4bfc798",
+                "91a41d6184a2e90bb71f38b683578a21f43e2ad70b179ed98ad9d07ded9b7e6f",
         },
         57: {
             "analysis_report.txt":
-                "7ecc994ffea27e4a11f306f16ab676da9ec30c1a898adb8377fd7d1ac728a5c3",
+                "01d1e43bd519d2426541d09fa004fb99131bb5c6c57df6f3def8369196c44f1d",
             "exposure_trace.csv":
-                "352614aaa243291c88d0e5c24a62e124c0c70e923e8c5c0f195ccc2e42e29806",
+                "cc07d81f9c145ddf8bf41ef53f2590f89f2f121b90684c1ad7188946eaa1884c",
             "overlay_gate_photo.csv":
-                "324b77a0aa004ac02a9899ba6e599187717927b22f8c90d91c101028db4a32cd",
+                "5dc1b91ca3ef0b49cf63957c40413cab618cd0c3b4c93d98a5902c089d8a6977",
             "photon_interval_histogram.csv":
                 "0639c03910b2552089ae41b1c61ceff42ac053b1d24a4ba3cc22b4a299637a27",
             "step_heights_vs_transconductance.csv":
-                "48a3d14ba40867b573e053a1d4b96e4e8f72e4c139a72b3e78b05f7f4806a42d",
+                "74950cfe029f7046e568e8c9ffb2fd392863c8edb815de51079c7420b41d54b9",
             "sweep_differential.csv":
-                "029fee0fb341b1d208e9f9343da635f5eb9e9a7ca1dfb5f6647ca42966006ddf",
+                "34347a6623a52f27296fa0aef1ec68c49d87bc6dd5e5aa185b0ba3bdb73b1eb3",
             "sweep_trace.csv":
-                "f286ea272bea8e709e09ed30ba158c4923d9c00cf50d730500ca5113c516c574",
+                "3b81f8501cd902195e5e7f53fc2719198f4bc2098c714751f05d29bdf9d48a63",
         },
     },
 }
@@ -155,3 +164,16 @@ def test_default_cli_outputs_match_their_digests(tmp_path, seed):
         pytest.skip(f"no output digests recorded for numpy {tier[0]} with "
                     f"{dict(zip(TIER_FEATURES, tier[1]))}")
     assert _run_all(seed, tmp_path) == DIGESTS[tier][seed]
+
+
+def test_avx2_digests_match_in_a_subprocess_of_an_avx512_run():
+    if _tier() != AVX512:
+        pytest.skip("the AVX2 set is rerun only from an AVX-512 run")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(TIER_FEATURES),
+               PYTHONPATH=str(Path(qpcsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_default_cli_outputs_match_their_digests"],
+        env=env, cwd=Path(__file__).parents[1], capture_output=True, text=True)
+    # a skip (no AVX2 set for this numpy) fails here too
+    assert re.search(r"\b3 passed\b", proc.stdout), proc.stdout[-2000:]

@@ -203,9 +203,10 @@ def test_evaluation_memory_does_not_grow_with_num_modes(evaluate):
     assert _peak_bytes(evaluate, v, DeviceParams(num_modes=MAX_MODES)) <= 1.5 * one
 
 
-def test_quadrature_fallback_memory_does_not_grow_with_points():
-    hot = DeviceParams(temperature=2000.0, tunnel_width=0.1)  # kT ~ 1700 w: no table
-    assert transport._transmission_table(hot.thermal_energy, hot.tunnel_width) is None
+def test_hot_device_memory_does_not_grow_with_points():
+    hot = DeviceParams(temperature=2000.0, tunnel_width=0.1)  # kT ~ 1700 w
+    table = transport._transmission_table(hot.thermal_energy, hot.tunnel_width)
+    assert table[0].cells <= 5120  # nodes, less one
     assert _peak_bytes(conductance, np.linspace(-5.0, 5.0, 20_000), hot) < 16 * 2**20
 
 
@@ -339,39 +340,48 @@ def test_quadrature_doubling_converged(device):
     assert np.abs(g1 - g2).max() < 1e-8
 
 
-def test_thermal_average_matches_adaptive_quadrature(device):
-    # independent route to the same integral: scipy adaptive quadrature of
-    # transmission x (-df/dE), normalized over the same thermal window
+@pytest.mark.parametrize("temperature,tunnel_width", [(4.2, 0.5), (4.2, 0.1), (20.0, 0.1)])
+def test_thermal_average_matches_adaptive_quadrature(temperature, tunnel_width):
+    # independent route to the same integrals: scipy adaptive quadrature of
+    # transmission x (-df/dE) over the whole line, with no window cut-off;
+    # the two sharp devices have kT well above w/2pi
     from scipy.integrate import quad
 
-    kt = device.thermal_energy
-    lo = device.fermi_energy - 10 * kt
-    hi = device.fermi_energy + 10 * kt
+    device = DeviceParams(temperature=temperature, tunnel_width=tunnel_width)
+    kt, s = device.thermal_energy, 2 * np.pi / device.tunnel_width
+    half = 40 * (kt + 1 / s)
+    lo, hi = device.fermi_energy - half, device.fermi_energy + half
 
-    def total_transmission(energy, v):
-        total = 0.0
+    def components(v):
+        # (weight, subband bottom) of every logistic step in the mode sum
         for n in range(device.num_modes):
             eps = device.subband_bottom(n, v)
-            z = np.clip(-2 * np.pi * (energy - eps) / device.tunnel_width,
-                        -700, 700)
-            t = 1.0 / (1.0 + np.exp(z))
             if n == 0 and device.anomaly_enabled:
-                z2 = np.clip(-2 * np.pi * (energy - eps - device.anomaly_split)
-                             / device.tunnel_width, -700, 700)
-                t = (device.anomaly_weight * t
-                     + (1 - device.anomaly_weight) / (1.0 + np.exp(z2)))
-            total += t
+                yield device.anomaly_weight, eps
+                yield 1 - device.anomaly_weight, eps + device.anomaly_split
+            else:
+                yield 1.0, eps
+
+    def transmission(energy, v, slope):
+        total = 0.0
+        for weight, eps in components(v):
+            t = 1.0 / (1.0 + np.exp(np.clip(-s * (energy - eps), -700, 700)))
+            total += weight * (s * t * (1 - t) if slope else t)
         return total
 
     def kernel(energy):
         return 1.0 / (4 * kt * np.cosh((energy - device.fermi_energy)
                                        / (2 * kt)) ** 2)
 
-    norm, _ = quad(kernel, lo, hi, limit=300, epsabs=1e-13, epsrel=1e-12)
     for v in (-1.49, -1.46, -1.43, -1.35, -1.26):
-        num, _ = quad(lambda e: total_transmission(e, v) * kernel(e), lo, hi,
-                      limit=300, epsabs=1e-13, epsrel=1e-12)
-        assert conductance(v, device) == pytest.approx(num / norm, abs=1e-9)
+        points = [device.fermi_energy] + [float(device.subband_bottom(n, v))
+                                          for n in range(device.num_modes)]
+        g, dg = (quad(lambda e: transmission(e, v, slope) * kernel(e), lo, hi,
+                      points=[p for p in points if lo < p < hi],
+                      limit=500, epsabs=1e-13, epsrel=1e-12)[0]
+                 for slope in (False, True))
+        assert conductance(v, device) == pytest.approx(g, abs=1e-9)
+        assert transconductance(v, device) == pytest.approx(device.lever_arm * dg, abs=1e-8)
 
 
 def test_curve_rejects_non_increasing_axis():

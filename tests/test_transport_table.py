@@ -1,8 +1,9 @@
 """Properties of the per-device transmission table and the grid inversion.
 
 `conductance` and `transconductance` read the thermally averaged
-transmission from a table built once per device; an explicit `quad_order`
-integrates directly and is the oracle here.  `_invert_conductance` starts
+transmission from a table built once per device, of at most 5,121 nodes
+whatever kT and the tunnel width; an explicit `quad_order` integrates
+directly and is the oracle here.  `_invert_conductance` starts
 from the analyzer's model grid and polishes with Newton steps.
 """
 
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qpcsim
@@ -42,6 +43,9 @@ random_devices = st.builds(
     anomaly_split=st.floats(0.2, 3.0),
 )
 
+# kT ~ 1700 w/2pi: the table is spaced by kT, and the oracle integrates over w/2pi
+HOT = DeviceParams(temperature=2000.0, tunnel_width=0.1)
+
 
 def operating_grid(params, n=400):
     v = _model_grid(params)[0]
@@ -49,6 +53,7 @@ def operating_grid(params, n=400):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
+@example(params=HOT)
 @given(params=random_devices)
 def test_table_conductance_monotone_bounded_and_slope_nonnegative(params):
     v = np.linspace(params.threshold_voltage - 0.1, params.threshold_voltage + 0.6, 400)
@@ -60,6 +65,7 @@ def test_table_conductance_monotone_bounded_and_slope_nonnegative(params):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
+@example(params=HOT)
 @given(params=random_devices)
 def test_table_matches_direct_quadrature(params):
     v = operating_grid(params)
@@ -70,19 +76,26 @@ def test_table_matches_direct_quadrature(params):
     assert dg_err.max() <= 1e-7
 
 
+# kT = w/2pi gives the largest table; at this width, counting its cells as
+# 2 half / h rounds up to 5,122 nodes
+EQUAL_WIDTH = 0.18511842406753112
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(kt=EQUAL_WIDTH / (2 * np.pi), tunnel_width=EQUAL_WIDTH)
+@example(kt=HOT.thermal_energy, tunnel_width=HOT.tunnel_width)
+@given(kt=st.floats(1e-5, 1e3), tunnel_width=st.floats(1e-3, 1e2))
+def test_every_device_gets_a_table_of_at_most_5121_nodes(kt, tunnel_width):
+    phi, dphi = _transmission_table(kt, tunnel_width)
+    assert phi.cells == dphi.cells <= 5120
+
+
 def test_table_is_exact_outside_its_range(device):
     # far below threshold every mode is closed, far above every mode is open
     lo, hi = device.threshold_voltage - 1.0, device.threshold_voltage + 2.0
     assert conductance(lo, device) == 0.0 and transconductance(lo, device) == 0.0
     assert conductance(hi, device) == device.num_modes
     assert transconductance(hi, device) == 0.0
-
-
-def test_oversized_table_falls_back_to_direct_quadrature():
-    hot = DeviceParams(temperature=2000.0, tunnel_width=0.1)
-    assert _transmission_table(hot.thermal_energy, hot.tunnel_width) is None
-    v = np.linspace(-1.6, -1.0, 7)
-    assert np.array_equal(conductance(v, hot), conductance(v, hot, quad_order=QUAD_ORDER))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
