@@ -24,7 +24,8 @@ that pops its pick from that free list (O(m) pointer moves, the remaining
 cost at large m).  The picks and the generator state are those of k scalar
 draws over the same ordered list, as a rescan per photon would make.  The
 trapped shift is the left-to-right sum over `captured`, so a later run
-starts bit for bit at the last level of the run before.
+starts bit for bit at the last level of the run before.  A run's capture
+log is its times beside `couplings[captured]`, one array (`Trace.events`).
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def capture_photons(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator
         raise ValueError("count must be >= 0")
     free = free_traps(ensemble, layer)
     picks = rng.integers(0, np.arange(len(free), max(len(free) - count, 0), -1))
-    return [capture_photon(ensemble, layer, rng, free, pick) for pick in picks]
+    return [capture_photon(ensemble, layer, rng, free, pick) for pick in picks.tolist()]
 
 
 def cumulative_gate_shift(initial: float, couplings) -> np.ndarray:

@@ -9,8 +9,9 @@ function.  The sampled signal is the transport-model conductance at
 (gate bias + accumulated trap gate shift) plus white Gaussian noise.
 
 Every run owns its RNG and its ensemble; identical seeds reproduce a run
-bit-exactly.  Trace files round-trip exactly (floats are written with
-shortest round-trip repr).
+bit-exactly.  Its capture log is one (k, 2) float array of (time, coupling)
+rows, `Trace.events`.  Trace files round-trip exactly (floats are written
+with shortest round-trip repr).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .transport import (
     TIME_AXIS,
     DeviceParams,
     Trace,
+    TruthEvent,  # re-exported: the row type of a trace's capture log
     conductance,
     require_finite,
     sweep,
@@ -64,13 +66,6 @@ class ExposureConfig:
                              f"<= {MAX_SAMPLES} samples")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-
-
-class TruthEvent(typing.NamedTuple):
-    """One capture: its time and coupling; `cumulative_gate_shift` gives the run's levels."""
-
-    time: float          # s
-    coupling: float      # V
 
 
 def poisson_event_times(rate: float, duration: float,
@@ -125,7 +120,6 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
     captured = capture_photons(ensemble, layer, rng, absorbed.size) if absorbed.size else []
     event_times, couplings = absorbed[:len(captured)], ensemble.couplings[captured]
     levels = cumulative_gate_shift(initial_shift, couplings)
-    events = list(map(TruthEvent, event_times.tolist(), couplings.tolist()))
 
     times = _sample_times(config)
     idx = np.searchsorted(event_times, times, side="right")
@@ -140,7 +134,7 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
 
     cfg = {"kind": "exposure", "initial_gate_shift": initial_shift,
            **asdict(config), **asdict(source), **_device_snapshot(device)}
-    return Trace(TIME_AXIS, times, samples, events, cfg,
+    return Trace(TIME_AXIS, times, samples, np.column_stack([event_times, couplings]), cfg,
                  photons_incident=int(incident.size),
                  photons_absorbed=int(absorbed.size))
 
@@ -168,7 +162,7 @@ def exposure_to_gate_equivalence(trace: Trace) -> Trace:
     sharing a shift level are averaged into one point, yielding a curve
     directly comparable with a gate-only sweep.
     """
-    if trace.truth_events is None:
+    if trace.events is None:
         raise ValueError("trace carries no truth events; cannot remap")
     if trace.axis_kind != TIME_AXIS:
         raise ValueError("only time-axis exposure traces can be remapped")
@@ -178,13 +172,11 @@ def exposure_to_gate_equivalence(trace: Trace) -> Trace:
     initial_shift = typed("initial_gate_shift", trace.config.get("initial_gate_shift", 0.0),
                           float)
 
-    event_times = np.array([e.time for e in trace.truth_events])
+    event_times, couplings = trace.events.T
     idx = np.searchsorted(event_times, trace.times, side="right")
-
-    levels = cumulative_gate_shift(initial_shift, [e.coupling for e in trace.truth_events])
-    volts = gate_bias + levels
-    sums = np.bincount(idx, weights=trace.conductance, minlength=levels.size)
-    counts = np.bincount(idx, minlength=levels.size)
+    volts = gate_bias + cumulative_gate_shift(initial_shift, couplings)
+    sums = np.bincount(idx, weights=trace.conductance, minlength=volts.size)
+    counts = np.bincount(idx, minlength=volts.size)
     visited = counts > 0
     g = sums[visited] / counts[visited]
     return Trace(GATE_AXIS, volts[visited], g)
@@ -294,10 +286,8 @@ def trace_to_text(trace: Trace) -> str:
                   photons_absorbed=trace.photons_absorbed)
     tables = [(None, f"{_AXIS_COLUMN[trace.axis_kind]},conductance_G0",
                (trace.times, trace.conductance))]
-    events = trace.truth_events
-    if events is not None:
-        tables.append(("events", "time_s,coupling_V",
-                       ([e.time for e in events], [e.coupling for e in events])))
+    if trace.events is not None:
+        tables.append(("events", "time_s,coupling_V", trace.events.T))
     return csv_text("qpcsim trace v1", header, *tables)
 
 
@@ -361,10 +351,7 @@ def trace_from_text(text: str) -> Trace:
     if blocks["events"] is not None:
         # must be a number: the shift levels are rebuilt from it
         typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
-        event_times, couplings = np.concatenate(blocks["events"]).T
-        if not (np.isfinite(event_times).all() and np.all(np.diff(event_times) >= 0)):
-            raise ValueError("events section: times must be finite and non-decreasing")
-        events = list(map(TruthEvent, event_times.tolist(), couplings.tolist()))
+        events = np.concatenate(blocks["events"])  # Trace checks the event times
 
     return Trace(axis_kind, times, values, events, header,
                  photons_incident=incident, photons_absorbed=absorbed)

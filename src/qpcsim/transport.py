@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,23 +123,39 @@ class DeviceParams:
         )
 
 
+class TruthEvent(NamedTuple):
+    """One capture: its time and coupling; `cumulative_gate_shift` gives the run's levels."""
+    time: float          # s
+    coupling: float      # V
+
+
 @dataclass(eq=False)
 class Trace:
     """Conductance (2e^2/h) sampled along a gate sweep or an exposure.
 
-    Exposure runs also carry their ground-truth capture log
-    (`simulate.TruthEvent`s), their configuration and photon counts.
+    Exposure runs also carry their configuration, photon counts and capture
+    log `events`: (time s, coupling V) rows in capture order, a (k, 2) float
+    array with finite, non-decreasing times, built from any such rows
+    (`TruthEvent`s too); `truth_events` gives a new list of them per read.
     """
 
     axis_kind: str                     # GATE_AXIS or TIME_AXIS
     times: np.ndarray                  # sample positions (V, or s for exposures)
     conductance: np.ndarray
-    truth_events: list | None = None   # None for runs without an event log
+    events: np.ndarray | None = None   # None for runs without a capture log
     config: dict = field(default_factory=dict)
     photons_incident: int = 0
     photons_absorbed: int = 0
 
     def __post_init__(self):
+        if self.events is not None:
+            events = np.asarray(self.events, dtype=float)
+            self.events = events.reshape(0, 2) if events.shape == (0,) else events
+            if self.events.shape[1:] != (2,):
+                raise ValueError(f"events must have shape (k, 2), got {events.shape}")
+            t = self.events[:, 0]
+            if not (np.isfinite(t).all() and np.all(t[1:] >= t[:-1])):
+                raise ValueError("events section: times must be finite and non-decreasing")
         self.times = np.asarray(self.times, dtype=float)
         self.conductance = np.asarray(self.conductance, dtype=float)
         if self.times.shape != self.conductance.shape:
@@ -158,8 +175,12 @@ class Trace:
         return self.times.size
 
     @property
+    def truth_events(self) -> list[TruthEvent] | None:
+        return None if self.events is None else list(map(TruthEvent, *self.events.T.tolist()))
+
+    @property
     def photons_captured(self) -> int:
-        return 0 if self.truth_events is None else len(self.truth_events)
+        return 0 if self.events is None else len(self.events)
 
 
 # Second name for Trace, for callers that build gate-voltage curves by it.
@@ -227,13 +248,14 @@ class _Hermite:
         self.x0, self.h, self.cells, self.lo, self.hi = x0, h, delta.size, lo, hi
 
     def __call__(self, x):
-        u = np.clip((x - self.x0) / self.h, 0.0, self.cells)
+        u = (x - self.x0) / self.h
+        u = np.minimum(np.maximum(0.0, u, out=u), self.cells, out=u)  # np.clip's bits, -0.0 too
         i = np.fmin(u, self.cells - 1).astype(np.intp)  # NaN x: any cell, NaN result
         t, p = u - i, self.coef[5].take(i)
         for k in range(4, -1, -1):
             p *= t
             p += self.coef[k].take(i)
-        return np.clip(p, self.lo, self.hi, out=p)
+        return np.minimum(np.maximum(self.lo, p, out=p), self.hi, out=p)
 
 
 @lru_cache(maxsize=8)

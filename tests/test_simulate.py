@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import fields
 
@@ -11,6 +12,7 @@ from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble, cumulative_g
 from qpcsim.simulate import (
     ExposureConfig,
     Trace,
+    TruthEvent,
     device_from_config,
     exposure_to_gate_equivalence,
     poisson_event_times,
@@ -367,6 +369,61 @@ def test_exposure_scans_the_free_traps_once(device, monkeypatch):
                               ExposureConfig())
     assert trace.photons_captured == 99 and len(calls) == 1
     assert not hasattr(simulate, "free_traps")
+
+
+@pytest.fixture(scope="module")
+def buffer_exposure_and_kept_objects(device):
+    """The 700 nm run over 8,000 buffer traps, and the GC-tracked objects it left alive."""
+    ensemble = build_ensemble(TrapConfig(buffer_trap_count=8000), 1)
+    source = PhotonSource(wavelength=700.0, incident_rate=6.0)
+    conductance(0.0, device)  # the device's table is cached before counting
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        trace = simulate_exposure(device, ensemble, source, ExposureConfig(duration=5400.0))
+        kept = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    return trace, kept
+
+
+def test_exposure_keeps_its_capture_log_as_one_float_array(buffer_exposure_and_kept_objects):
+    # one (time, coupling) row per capture, and no Python object per capture
+    trace, kept = buffer_exposure_and_kept_objects
+    assert kept < 100  # a named tuple per capture would keep over 8,000
+    assert trace.events.shape == (8000, 2) and trace.events.dtype == np.float64
+
+
+def test_truth_events_is_a_new_list_built_from_the_event_array(
+        buffer_exposure_and_kept_objects):
+    trace, _ = buffer_exposure_and_kept_objects
+    events = trace.truth_events
+    assert events == [TruthEvent(t, c) for t, c in trace.events.tolist()]
+    assert np.array(events).tobytes() == trace.events.tobytes()
+    text, rows = trace_to_text(trace), trace.events.copy()
+    events.append(TruthEvent(1e9, 1.0))
+    assert len(trace.truth_events) == 8000 and trace.truth_events is not events
+    assert np.array_equal(trace.events, rows) and trace_to_text(trace) == text
+
+
+@pytest.mark.parametrize("events, message", [
+    # out of order: trace_to_text would write a file that does not read back
+    ([TruthEvent(2.0, 1e-3), TruthEvent(1.0, 1e-3)], "events section: times must be"),
+    ([TruthEvent(math.nan, 1e-3)], "events section: times must be finite"),
+    (np.zeros((2, 3)), r"events must have shape \(k, 2\), got \(2, 3\)"),
+    (np.zeros(4), r"events must have shape \(k, 2\), got \(4,\)"),
+])
+def test_trace_holds_its_event_log_to_the_file_rule(events, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        Trace(TIME_AXIS, [0.0, 1.0], [0.1, 0.2], events)
+
+
+def test_trace_takes_any_rows_of_time_and_coupling():
+    for rows in ([], [(0.5, 1e-3), (0.5, 2e-3)], np.array([[0.5, 1e-3], [0.5, 2e-3]])):
+        trace = Trace(TIME_AXIS, [0.0, 1.0], [0.1, 0.2], rows)
+        assert trace.events.shape == (len(rows), 2)
+        assert trace.truth_events == [TruthEvent(t, c) for t, c in rows]
 
 
 def test_device_snapshot_roundtrip(default_exposure, device):
