@@ -201,6 +201,8 @@ def device_from_config(config: dict) -> DeviceParams:
 # ---------------------------------------------------------------------------
 
 _AXIS_COLUMN = {TIME_AXIS: "time_s", GATE_AXIS: "gate_voltage_V"}
+_WRITE_ROWS = 2048   # rows per writer block: a row's fields hold ~240 B until joined
+_READ_CHARS, _READ_LINES = 65536, 4096  # reader blocks: a line holds ~80 B as a str
 
 
 def fmt(value) -> str:
@@ -222,9 +224,9 @@ def csv_text(title: str, header: dict, *tables) -> str:
     """File text: '# title', '# key=value' per header item, then the tables.
 
     Each table is (title line or None, column line, columns): equal-length
-    columns, written a column at a time.  A float ndarray column is written
-    as `repr` of its Python floats, the bytes `fmt` gives; every other field
-    goes through `fmt`.  Unequal lengths raise ValueError.
+    columns, written _WRITE_ROWS rows at a time.  A float ndarray column is
+    written as `repr` of its Python floats, the bytes `fmt` gives; every other
+    field goes through `fmt`.  Unequal lengths raise ValueError first.
     """
     parts = [f"# {title}\n"] + [f"# {key}={fmt(value)}\n" for key, value in header.items()]
     for table_title, names, columns in tables:
@@ -234,17 +236,16 @@ def csv_text(title: str, header: dict, *tables) -> str:
         rows = len(columns[0]) if len(columns) else 0
         if any(len(col) != rows for col in columns):
             raise ValueError(f"table {names!r}: columns must have equal lengths")
-        if not rows:
-            continue
-        # one list of fields and separators, "a", ",", ..., "z", "\n" per row
         width = 2 * len(columns)
-        fields = [","] * (width * rows)
-        fields[width - 1::width] = ["\n"] * rows
-        for j, col in enumerate(columns):
-            float_array = isinstance(col, np.ndarray) and col.dtype.kind == "f"
-            fields[2 * j::width] = (map(repr, col.astype(float, copy=False).tolist())
-                                   if float_array else map(fmt, col))
-        parts.append("".join(fields))
+        for start in range(0, rows, _WRITE_ROWS):
+            # one list of fields and separators, "a", ",", ..., "z", "\n" per row
+            n = min(_WRITE_ROWS, rows - start)
+            fields = ([","] * (width - 1) + ["\n"]) * n
+            for j, col in enumerate(c[start:start + n] for c in columns):
+                float_array = isinstance(col, np.ndarray) and col.dtype.kind == "f"
+                fields[2 * j::width] = (map(repr, col.astype(float, copy=False).tolist())
+                                       if float_array else map(fmt, col))
+            parts.append("".join(fields))
     return "".join(parts)
 
 
@@ -292,8 +293,8 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def _data_rows(lines: list[str], first_lineno: int) -> np.ndarray:
-    """A run of data lines as an (n, 2) array: one `np.loadtxt` call (the C
-    parser `float` uses), or, when that rejects the run, `float` line by line,
+    """Up to _READ_LINES data lines as an (n, 2) array: one `np.loadtxt` call (the C
+    parser `float` uses), or, when that rejects them, `float` line by line,
     which also reads `1_0` and non-ASCII digits and names the first bad line.
     """
     try:
@@ -313,14 +314,24 @@ def _data_rows(lines: list[str], first_lineno: int) -> np.ndarray:
     return rows
 
 
+def _text_lines(text: str):
+    """`text.splitlines()`, then '', from blocks of _READ_CHARS characters cut after a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _READ_CHARS) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+    yield ""
+
+
 def trace_from_text(text: str) -> Trace:
+    """The trace `trace_to_text` wrote, read a block of lines and of data rows at a time."""
     header: dict = {}
     no_rows = np.empty((0, 2))
     blocks = {"samples": [no_rows], "events": None}  # section -> its parsed runs of rows
     section, run, first = "samples", [], 0
 
-    # the appended blank line ends the last run of data lines
-    for lineno, raw in enumerate(text.splitlines() + [""], start=1):
+    for lineno, raw in enumerate(_text_lines(text), start=1):
         line = raw.strip()
         if line and line[0] != "#" and line not in (
                 "events", "time_s,conductance_G0", "gate_voltage_V,conductance_G0",
@@ -328,7 +339,8 @@ def trace_from_text(text: str) -> Trace:
             if not run:
                 first = lineno
             run.append(line)
-            continue
+            if len(run) < _READ_LINES:
+                continue  # else parse the run now: a data line matches nothing below
         if run:
             blocks[section].append(_data_rows(run, first))
             run = []
@@ -346,7 +358,7 @@ def trace_from_text(text: str) -> Trace:
     axis_kind = header.pop("axis", TIME_AXIS)
     incident, absorbed = (typed(key, header.pop(key, 0), int)
                           for key in ("photons_incident", "photons_absorbed"))
-    times, values = np.concatenate(blocks["samples"]).T.copy()
+    times, values = (np.concatenate([rows[:, j] for rows in blocks["samples"]]) for j in (0, 1))
     events = None
     if blocks["events"] is not None:
         # must be a number: the shift levels are rebuilt from it

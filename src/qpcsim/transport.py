@@ -41,6 +41,7 @@ PINCH_MARGIN_MEV = 1.45
 # 161 the spacing is half that scale, and the rule converges like
 # exp(-2pi^2 narrow / spacing) ~ 1e-17 for every device.
 QUAD_ORDER = 161
+_QUAD_BLOCK = 64  # points per quadrature block: (64, 161) temporaries, ~1 MiB per table build
 
 GATE_AXIS = "gate-voltage"
 TIME_AXIS = "exposure-time"
@@ -129,6 +130,14 @@ class TruthEvent(NamedTuple):
     coupling: float      # V
 
 
+def _owned(values) -> np.ndarray:
+    """Read-only float64: an ndarray owning its data in place, anything else as a copy."""
+    if not (type(values) is np.ndarray and values.dtype == np.float64 and values.flags.owndata):
+        values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(eq=False)
 class Trace:
     """Conductance (2e^2/h) sampled along a gate sweep or an exposure.
@@ -150,14 +159,13 @@ class Trace:
     def __post_init__(self):
         if self.events is not None:
             events = np.asarray(self.events, dtype=float)
-            self.events = events.reshape(0, 2) if events.shape == (0,) else events
+            self.events = _owned(np.empty((0, 2)) if events.shape == (0,) else events)
             if self.events.shape[1:] != (2,):
                 raise ValueError(f"events must have shape (k, 2), got {events.shape}")
             t = self.events[:, 0]
             if not (np.isfinite(t).all() and np.all(t[1:] >= t[:-1])):
                 raise ValueError("events section: times must be finite and non-decreasing")
-        self.times = np.asarray(self.times, dtype=float)
-        self.conductance = np.asarray(self.conductance, dtype=float)
+        self.times, self.conductance = _owned(self.times), _owned(self.conductance)
         if self.times.shape != self.conductance.shape:
             raise ValueError("times and conductance must have the same length")
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.conductance))):
@@ -215,19 +223,19 @@ def _thermal_average(x, kt: float, tunnel_width: float, quad_order: int):
     F is the logistic CDF of the wider scale and K the narrower density at the
     offsets u_k; the derivatives are s F(1-F), s^2 F(1-F)(1-2F) and
     s^3 F(1-F)(1-6F+6F^2) under the same sum, with s = 1/wide.
-    Taken 256 points at a time, so memory does not grow with points x nodes.
+    Taken _QUAD_BLOCK points at a time, so memory does not grow with points x nodes.
     """
     offsets, kernel, wide = _thermal_kernel(kt, tunnel_width, quad_order)
     s = 1.0 / wide
     x = np.asarray(x, dtype=float)
-    out = np.empty((4, x.size))
-    for k in range(0, x.size, 256):  # larger blocks raise peak RSS
-        t = _logistic_transmission(offsets, -x.reshape(-1, 1)[k:k + 256], 2.0 * np.pi * wide)
+    out, column = np.empty((4, x.size)), x.reshape(-1, 1)
+    for k in range(0, x.size, _QUAD_BLOCK):
+        t = _logistic_transmission(offsets, -column[k:k + _QUAD_BLOCK], 2.0 * np.pi * wide)
         dt = s * t * (1.0 - t)
         moments = (t, dt, s * dt * (1.0 - 2.0 * t), s * s * dt * (1.0 - 6.0 * t * (1.0 - t)))
         # Row by row, not a BLAS matrix-vector product, which rounds with the
         # number of rows; conductance(v)[i] must equal conductance(v[i]).
-        out[:, k:k + 256] = [(r * kernel).sum(axis=-1) for r in moments]
+        out[:, k:k + _QUAD_BLOCK] = [(r * kernel).sum(axis=-1) for r in moments]
     return tuple(out.reshape((4,) + x.shape))
 
 
@@ -346,4 +354,4 @@ def differential_conductance(curve: Trace) -> Trace:
     dg[1:-1] = (g[2:] - g[:-2]) / (v[2:] - v[:-2])
     dg[0] = (g[1] - g[0]) / (v[1] - v[0])
     dg[-1] = (g[-1] - g[-2]) / (v[-1] - v[-2])
-    return Trace(GATE_AXIS, v.copy(), dg)
+    return Trace(GATE_AXIS, v, dg)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from qpcsim import (
@@ -32,3 +34,18 @@ def noiseless_saturated_exposure():
     config = ExposureConfig(noise_sigma=0.0, seed=subseed(1, "exposure"))
     trace = simulate_exposure(DeviceParams(), ensemble, PhotonSource(), config)
     return trace, ensemble
+
+
+def _peak_bytes(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    """`peak_bytes(call, *args)`: tracemalloc's peak, in bytes, while `call(*args)` runs."""
+    return _peak_bytes

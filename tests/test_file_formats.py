@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qpcsim import simulate
 from qpcsim.analyze import AnalysisConfig, AnalysisReport, IntervalFit, StepEvent, report_to_text
-from qpcsim.charge import PhotonSource, TrapConfig
+from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble
 from qpcsim.cli import RunConfig, main, parse_config, serialize_config
 from qpcsim.simulate import (
     ExposureConfig,
@@ -23,6 +24,8 @@ from qpcsim.simulate import (
     _parse_value,
     csv_text,
     fmt,
+    simulate_exposure,
+    simulate_gate_sweep,
     trace_from_text,
     trace_to_text,
     typed,
@@ -384,6 +387,40 @@ def test_column_writer_rejects_unequal_lengths(lengths):
         csv_text("qpcsim demo v1", {}, (None, names, columns))
 
 
+def block_column(kind, rows, rng):
+    """A column of `kind` with `rows` values, drawn from `rng` rather than hypothesis."""
+    specials = EXTREMES + [math.nan, -math.inf, math.inf, 1e-310, -2.5e-320, 0.1, 1.0]
+    floats = (rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)).tolist()
+    floats[::7] = rng.choice(specials, len(floats[::7])).tolist()
+    ints = rng.integers(-2**63, 2**63 - 1, rows, dtype=np.int64, endpoint=True)
+    flags = rng.random(rows) < 0.5
+    return {
+        "float64": float_array(np.float64)(floats),
+        "float32": float_array(np.float32)(floats),
+        "float16": float_array(np.float16)(floats),
+        "longdouble": float_array(np.longdouble)(floats),
+        "python floats": floats,
+        "numpy float scalars": [np.float64(x) for x in floats],
+        "int": ints,
+        "python ints": [x * 10**20 + 7 for x in ints.tolist()],
+        "bool": flags,
+        "numpy bool scalars": list(flags),
+        "strings": [f"s{x}\u00e9" for x in ints.tolist()],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", COLUMN_KINDS)
+def test_column_writer_matches_row_wise_reference_past_a_block(kind):
+    rows = 2 * simulate._WRITE_ROWS + 1  # two full blocks and one row
+    rng = np.random.default_rng(COLUMN_KINDS.index(kind))
+    tables = [(None, "a,b", [block_column(kind, rows, rng), block_column("float64", rows, rng)]),
+              ("[all]", ",".join(COLUMN_KINDS),
+               [block_column(k, simulate._WRITE_ROWS + 1, rng) for k in COLUMN_KINDS])]
+    with np.errstate(over="ignore"):
+        assert csv_text("qpcsim demo v1", {}, *tables) == \
+            row_wise_csv_text("qpcsim demo v1", {}, *tables)
+
+
 # ---------------------------------------------------------------------------
 # the block reader against the line-at-a-time reader it replaced
 # ---------------------------------------------------------------------------
@@ -517,3 +554,80 @@ def test_cli_traces_survive_text_to_trace_to_text(tmp_path):
     for name in ("sweep_trace.csv", "exposure_trace.csv"):
         text = (tmp_path / name).read_text(encoding="utf-8")
         assert trace_to_text(trace_from_text(text)) == text, name
+
+
+# ---------------------------------------------------------------------------
+# block edges and memory, on traces longer than one block
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def long_trace_lines():
+    """Lines of a 10,001-point noisy sweep and of an 8,000-event 700 nm exposure.
+
+    The exposure is sampled every 50 s, so its events are most of its text.
+    """
+    device = DeviceParams()
+    sweep = simulate_gate_sweep(device, -1.5, -1.2, 10_001, 0.005, seed=3)
+    exposure = simulate_exposure(device, build_ensemble(TrapConfig(buffer_trap_count=8000), 5),
+                                 PhotonSource(wavelength=700.0, incident_rate=6.0),
+                                 ExposureConfig(sample_interval=50.0, seed=7))
+    assert exposure.photons_captured == 8000
+    return {"sweep": trace_to_text(sweep).splitlines(),
+            "exposure": trace_to_text(exposure).splitlines()}
+
+
+def block_edges(lines, ending):
+    """Indices of the lines that start a block of text, and that start a new run of data."""
+    text = ending.join(lines) + ending
+    cuts, runs, start = set(), set(), 0
+    while (end := text.find("\n", start + simulate._READ_CHARS) + 1) and end < len(text):
+        cuts.add(text.count("\n", 0, end))
+        start = end
+    columns = [i for i, line in enumerate(lines) if line.endswith(("_G0", "_V"))]
+    for i, end in zip(columns, columns[1:] + [len(lines)]):  # each column line starts a run
+        runs.update(range(i + 1 + simulate._READ_LINES, end, simulate._READ_LINES))
+    return cuts, runs
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("kind", ["sweep", "exposure"])
+def test_block_reader_matches_line_wise_reader_at_block_edges(long_trace_lines, kind, ending):
+    """Each of ODD_LINES at each block edge and the lines either side of it.
+
+    The reader acts on the lines it is handed, in order, so where the text is
+    cut it matches when those are the lines `splitlines` gives.  Where a run
+    of data lines is parted, `_data_rows` reads the parts: there the two
+    readers' outcomes are compared.
+    """
+    lines = long_trace_lines[kind]
+    cuts, runs = block_edges(lines, ending)
+    assert len(cuts) >= 4 and runs
+    assert read_outcome(trace_from_text, ending.join(lines) + ending) == \
+        read_outcome(line_wise_trace_from_text, ending.join(lines) + ending)
+    for edge in sorted(cuts | runs):
+        for at in (edge - 1, edge, edge + 1):
+            for line in ODD_LINES:
+                text = ending.join(lines[:at] + [line] + lines[at + 1:]) + ending
+                assert list(simulate._text_lines(text)) == text.splitlines() + [""], \
+                    (edge, at, line)
+                if edge in runs:
+                    assert read_outcome(trace_from_text, text) == \
+                        read_outcome(line_wise_trace_from_text, text), (edge, at, line)
+
+
+@pytest.fixture(scope="module")
+def long_sweep():
+    trace = simulate_gate_sweep(DeviceParams(), -1.5, -1.2, 200_000, 0.005, seed=1)
+    return trace, trace_to_text(trace)
+
+
+def test_writer_memory_is_about_twice_the_text(long_sweep, peak_bytes):
+    trace, text = long_sweep
+    assert peak_bytes(trace_to_text, trace) < 3 * len(text)  # the parts and their join
+
+
+def test_reader_memory_is_a_few_times_the_arrays(long_sweep, peak_bytes):
+    trace, text = long_sweep
+    arrays = trace.times.nbytes + trace.conductance.nbytes
+    # the parsed blocks, and the two columns built from them
+    assert peak_bytes(trace_from_text, text) < 4 * arrays

@@ -426,6 +426,40 @@ def test_trace_takes_any_rows_of_time_and_coupling():
         assert trace.truth_events == [TruthEvent(t, c) for t, c in rows]
 
 
+def test_a_trace_cannot_be_edited_through_the_arrays_it_was_given():
+    times, values = np.array([0.0, 1.0]), np.array([0.1, 0.2])
+    rows = np.array([[0.5, 1e-3], [0.7, 1e-3]])
+    trace = Trace(TIME_AXIS, times, values, rows)
+    text = trace_to_text(trace)
+    for array, at in ((rows, (0, 0)), (times, 0), (values, 1)):
+        try:
+            array[at] = 9.0
+        except ValueError:  # read-only: the trace took the array as its own
+            pass
+    assert trace_to_text(trace) == text
+    back = trace_from_text(text)
+    assert back.events.tobytes() == rows.tobytes() and back.times.tobytes() == times.tobytes()
+
+
+def test_a_trace_copies_a_view_it_is_given():
+    block = np.array([[0.0, 0.1], [1.0, 0.2], [2.0, 0.3]])
+    trace = Trace(GATE_AXIS, block[:, 0], block[:, 1], block[1:])
+    block[:] = 5.0  # the caller can still write the base of those views
+    assert trace.times.tolist() == [0.0, 1.0, 2.0]
+    assert trace.conductance.tolist() == [0.1, 0.2, 0.3]
+    assert trace.events.tolist() == [[1.0, 0.2], [2.0, 0.3]]
+    assert not any(np.shares_memory(block, a) for a in (trace.times, trace.conductance,
+                                                         trace.events))
+
+
+def test_read_and_simulated_traces_own_read_only_arrays(default_exposure):
+    trace, _ = default_exposure
+    back = trace_from_text(trace_to_text(trace))
+    for t in (trace, back):
+        for a in (t.times, t.conductance, t.events):
+            assert a.flags.owndata and not a.flags.writeable
+
+
 def test_device_snapshot_roundtrip(default_exposure, device):
     trace, _ = default_exposure
     assert device_from_config(trace.config) == device

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -186,28 +185,31 @@ def test_num_modes_is_capped_by_the_device():
     assert g[0] >= 0.0 and g[-1] <= MAX_MODES and g[-1] > MAX_MODES - 0.5
 
 
-def _peak_bytes(evaluate, v, params):
+def _evaluation_peak(peak_bytes, evaluate, v, params):
     evaluate(v[:1], params)  # the table is cached per device: build it untraced
-    tracemalloc.start()
-    try:
-        evaluate(v, params)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_bytes(evaluate, v, params)
 
 
 @pytest.mark.parametrize("evaluate", [conductance, transconductance])
-def test_evaluation_memory_does_not_grow_with_num_modes(evaluate):
+def test_evaluation_memory_does_not_grow_with_num_modes(evaluate, peak_bytes):
     v = np.linspace(-1.6, 7.5, 10**5)
-    one = _peak_bytes(evaluate, v, DeviceParams(num_modes=1))
-    assert _peak_bytes(evaluate, v, DeviceParams(num_modes=MAX_MODES)) <= 1.5 * one
+    one = _evaluation_peak(peak_bytes, evaluate, v, DeviceParams(num_modes=1))
+    assert _evaluation_peak(peak_bytes, evaluate, v, DeviceParams(num_modes=MAX_MODES)) \
+        <= 1.5 * one
 
 
-def test_hot_device_memory_does_not_grow_with_points():
+def test_hot_device_memory_does_not_grow_with_points(peak_bytes):
     hot = DeviceParams(temperature=2000.0, tunnel_width=0.1)  # kT ~ 1700 w
     table = transport._transmission_table(hot.thermal_energy, hot.tunnel_width)
     assert table[0].cells <= 5120  # nodes, less one
-    assert _peak_bytes(conductance, np.linspace(-5.0, 5.0, 20_000), hot) < 16 * 2**20
+    v = np.linspace(-5.0, 5.0, 20_000)
+    assert _evaluation_peak(peak_bytes, conductance, v, hot) < 16 * 2**20
+
+
+def test_table_build_memory_stays_small(peak_bytes, device):
+    # the uncached build: 3,124 nodes on the default device, a block of points at a time
+    build = transport._transmission_table.__wrapped__
+    assert peak_bytes(build, device.thermal_energy, device.tunnel_width) < 1.5 * 2**20
 
 
 def test_shoulder_is_dgdv_minimum_in_conductance_window(device):
