@@ -18,7 +18,6 @@ from .analyze import (
     AnalysisConfig,
     AnalysisReport,
     IntervalFit,
-    StepEvent,
     analyze_trace,
     correlate_heights,
     detect_steps,
@@ -38,7 +37,6 @@ from .charge import (
 )
 from .simulate import (
     ExposureConfig,
-    TruthEvent,
     exposure_to_gate_equivalence,
     poisson_event_times,
     read_trace,
@@ -58,13 +56,13 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "AnalysisReport", "IntervalFit", "StepEvent", "analyze_trace",
+    "AnalysisConfig", "AnalysisReport", "IntervalFit", "analyze_trace",
     "correlate_heights", "detect_steps", "estimate_noise_sigma",
     "fit_exponential", "saturation_summary",
     "PhotonSource", "TrapConfig", "TrapEnsemble", "absorption_target",
     "build_ensemble", "capture_photon", "capture_photons",
     "effective_gate_shift",
-    "ExposureConfig", "Trace", "TruthEvent", "exposure_to_gate_equivalence",
+    "ExposureConfig", "Trace", "exposure_to_gate_equivalence",
     "poisson_event_times", "read_trace", "simulate_exposure", "simulate_gate_sweep",
     "ConductanceCurve", "DeviceParams", "conductance", "differential_conductance",
     "sweep", "transconductance",

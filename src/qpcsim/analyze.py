@@ -61,12 +61,6 @@ class AnalysisConfig:
     bin_width: float = 0.0                # histogram bin, s; 0 = fitted mean interval / 3
 
 
-class StepEvent(NamedTuple):
-    time: float        # s
-    height: float      # conductance jump, units of 2e^2/h (> 0)
-    confidence: float  # detection statistic in units of its noise SE
-
-
 class IntervalFit(NamedTuple):
     event_count: int        # number of events behind the fit (intervals + 1)
     mean_interval: float    # s
@@ -76,11 +70,13 @@ class IntervalFit(NamedTuple):
 
 @dataclass
 class AnalysisReport:
-    steps: list[StepEvent]
+    """What `analyze_trace` found; the per-step arrays are aligned with `steps`."""
+
+    steps: np.ndarray                    # (n, 3): time s, height G0, confidence
     interval_fit: IntervalFit | None
     height_correlation: float            # Pearson r, nan when undefined
-    implied_couplings: list[float]       # V per step, nan where g ~ 0
-    transconductances: list[float]       # model dG/dVg per step
+    implied_couplings: np.ndarray        # V per step, nan where g ~ 0
+    transconductances: np.ndarray        # model dG/dVg per step
     saturation_detected: bool
     total_conductance_rise: float
     correlation_status: str = "ok"       # "ok" | "insufficient events" | "undefined"
@@ -118,8 +114,9 @@ def _mean_difference(samples: np.ndarray, window: int):
 
 
 def detect_steps(trace: Trace, window: int = DEFAULT_WINDOW,
-                 threshold: float = DEFAULT_THRESHOLD) -> list[StepEvent]:
-    """Locate upward conductance steps in a time trace."""
+                 threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """Upward conductance steps in a time trace: an (n, 3) float array of
+    (time s, height G0 > 0, confidence in noise SEs) rows in time order."""
     if trace.axis_kind != TIME_AXIS:
         raise ValueError("step detection requires a time-axis exposure trace")
     if window < 2:
@@ -150,24 +147,24 @@ def detect_steps(trace: Trace, window: int = DEFAULT_WINDOW,
 
     heights = d[accepted]
     conf = heights / se if se > 0 else np.full(heights.size, math.inf)
-    return list(map(StepEvent, trace.times[boundaries[accepted]].tolist(),
-                    heights.tolist(), conf.tolist()))
+    return np.column_stack([trace.times[boundaries[accepted]], heights, conf])
 
 
-def interval_statistics(events, bin_width: float = 0.0):
-    """Exponential fit and histogram of the intervals between successive events.
+def interval_statistics(times, bin_width: float = 0.0):
+    """Exponential fit and histogram of the intervals between successive event times.
 
-    `events` are anything with a `.time` (detected steps or truth events).
-    A `bin_width` of 0 bins by a third of the fitted mean interval; one outside
-    [0, inf) is a ValueError, at any event count, and so is one that needs
-    more than `MAX_SAMPLES` bins.  Returns (fit, (bin starts, counts summing
-    to len(events) - 1)), or (None, ()) below three events.
+    `times` is an array of event times in order (the first column of detected
+    steps or of a capture log).  A `bin_width` of 0 bins by a third of the
+    fitted mean interval; one outside [0, inf) is a ValueError, at any event
+    count, and so is one that needs more than `MAX_SAMPLES` bins.  Returns
+    (fit, (bin starts, counts summing to len(times) - 1)), or (None, ())
+    below three events.
     """
     if not 0.0 <= bin_width < math.inf:
         raise ValueError(f"bin_width must be finite and >= 0, got {bin_width!r}")
-    if len(events) < 3:
+    if len(times) < 3:
         return None, ()
-    intervals = np.diff([e.time for e in events])
+    intervals = np.diff(times)
     fit = fit_exponential(intervals)
     bin_width = bin_width or fit.mean_interval / 3.0
     longest = float(intervals.max())
@@ -243,7 +240,7 @@ def _invert_conductance(g_target, device: DeviceParams):
     return x if np.ndim(g_target) else float(x[0])
 
 
-def correlate_heights(steps: list[StepEvent], trace: Trace,
+def correlate_heights(steps: np.ndarray, trace: Trace,
                       device: DeviceParams, window: int = DEFAULT_WINDOW):
     """Pair detected step heights with the model transconductance.
 
@@ -253,17 +250,14 @@ def correlate_heights(steps: list[StepEvent], trace: Trace,
     undefined (nan) coupling and are excluded from the Pearson correlation.
 
     Returns (pearson_r, implied couplings, transconductances); the latter
-    two are aligned with `steps`.
+    two are float arrays aligned with the rows of `steps`.
     """
     if len(steps) < 3:
         raise ValueError("need at least 3 steps to correlate heights")
-    x = trace.conductance
-    heights = np.array([s.height for s in steps])
-    g_mid = np.full(len(steps), np.nan)
-    for k, step in enumerate(steps):
-        i = int(np.searchsorted(trace.times, step.time))
-        if i > 0:
-            g_mid[k] = float(np.mean(x[max(0, i - window):i])) + 0.5 * step.height
+    x, heights = trace.conductance, steps[:, 1]
+    ends = np.searchsorted(trace.times, steps[:, 0]).tolist()
+    g_mid = np.array([np.mean(x[max(0, i - window):i]) if i else math.nan
+                      for i in ends]) + 0.5 * heights
     trans = transconductance(_invert_conductance(g_mid, device), device)
     slope_floor = RELATIVE_TRANSCONDUCTANCE_FLOOR * float(_model_grid(device)[2].max())
     implied = heights / np.where(trans > slope_floor, trans, np.nan)
@@ -273,7 +267,7 @@ def correlate_heights(steps: list[StepEvent], trace: Trace,
     r = math.nan
     if valid.sum() >= 2 and np.ptp(h) > 0 and np.ptp(g) > 0:
         r = float(np.corrcoef(h, g)[0, 1])
-    return r, implied.tolist(), trans.tolist()
+    return r, implied, trans
 
 
 def _linear_slope(t: np.ndarray, x: np.ndarray, sigma: float):
@@ -287,7 +281,7 @@ def _linear_slope(t: np.ndarray, x: np.ndarray, sigma: float):
     return slope, se
 
 
-def saturation_summary(steps: list[StepEvent], trace: Trace):
+def saturation_summary(steps: np.ndarray, trace: Trace):
     """Decide whether the photoresponse has saturated.
 
     The trailing portion of the run must be statistically flat while the
@@ -316,7 +310,7 @@ def saturation_summary(steps: list[StepEvent], trace: Trace):
         return False, total_rise
 
     tail_len = int(math.ceil(SATURATION_TAIL_FRACTION * n))
-    gaps = np.diff([s.time for s in steps])
+    gaps = np.diff(steps[:, 0])
     dt = _median(np.diff(t))
     tail_len = max(tail_len, int(math.ceil(3.0 * float(np.mean(gaps)) / dt)))
     if tail_len >= n - m:
@@ -339,12 +333,12 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
             raise ValueError(f"trace header lacks {exc.args[0]}") from None
     steps = detect_steps(trace, window=config.window, threshold=config.threshold)
 
-    fit, histogram = interval_statistics(steps, config.bin_width)
+    fit, histogram = interval_statistics(steps[:, 0], config.bin_width)
     if len(steps) >= 3:
         r, implied, trans = correlate_heights(steps, trace, device, window=config.window)
         status = "undefined" if math.isnan(r) else "ok"
     else:
-        r, implied, trans = math.nan, [math.nan] * len(steps), [math.nan] * len(steps)
+        r, implied, trans = math.nan, np.full(len(steps), math.nan), np.full(len(steps), math.nan)
         status = "insufficient events"
 
     saturated, rise = saturation_summary(steps, trace)
@@ -363,17 +357,15 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
 # ---------------------------------------------------------------------------
 
 def report_to_text(report: AnalysisReport) -> str:
-    valid = [c for c in report.implied_couplings if not math.isnan(c)]
-    mean_implied = float(np.mean(valid)) if valid else math.nan
+    valid = report.implied_couplings[~np.isnan(report.implied_couplings)]
+    mean_implied = float(np.mean(valid)) if valid.size else math.nan
     fit, steps = report.interval_fit, report.steps
     return csv_text(
         "qpcsim analysis report v1",
         {"window": report.window, "threshold": float(report.threshold)},
         ("[steps]",
          "time_s,height_G0,confidence,transconductance_G0_per_V,implied_coupling_V",
-         ([s.time for s in steps], [s.height for s in steps],
-          [s.confidence for s in steps], report.transconductances,
-          report.implied_couplings)),
+         (*steps.T, report.transconductances, report.implied_couplings)),
         ("[intervals]", "bin_start_s,count", report.histogram),
         ("[fit]", "event_count,mean_interval_s,rate_per_s,ks_statistic",
          () if fit is None else [[v] for v in fit]),

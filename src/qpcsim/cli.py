@@ -26,6 +26,8 @@ import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .analyze import AnalysisConfig, analyze_trace, interval_statistics, report_to_text
 from .charge import PhotonSource, TrapConfig, build_ensemble
 from .simulate import (
@@ -233,7 +235,7 @@ def cmd_reproduce_figures(cfg: RunConfig, args: argparse.Namespace) -> list[Path
     header = {}
     if cfg.source.detected_rate > 0:
         header["configured_mean_interval_s"] = 1.0 / cfg.source.detected_rate
-    fit, histogram = interval_statistics(trace.truth_events or [], cfg.analysis.bin_width)
+    fit, histogram = interval_statistics(trace.events[:, 0], cfg.analysis.bin_width)
     if fit is not None:
         header.update(fit_mean_interval_s=fit.mean_interval, fit_rate_per_s=fit.rate,
                       ks_statistic=fit.ks_statistic)
@@ -243,15 +245,14 @@ def cmd_reproduce_figures(cfg: RunConfig, args: argparse.Namespace) -> list[Path
             "qpcsim figure: gate-driven vs photo-driven conductance", {},
             (None, "series,gate_voltage_V,conductance_G0",
              (["gate_sweep"] * len(gate_curve) + ["photo_remap"] * len(remap),
-              gate_curve.times.tolist() + remap.times.tolist(),
-              gate_curve.conductance.tolist() + remap.conductance.tolist()))),
+              np.concatenate([gate_curve.times, remap.times]),
+              np.concatenate([gate_curve.conductance, remap.conductance])))),
         "step_heights_vs_transconductance.csv": csv_text(
             "qpcsim figure: step height vs model transconductance", {},
             ("[transconductance]", "gate_voltage_V,dG_dVg_G0_per_V",
              (gate_curve.times, transconductance(gate_curve.times, device))),
             ("[steps]", "time_s,height_G0,transconductance_G0_per_V",
-             ([s.time for s in report.steps], [s.height for s in report.steps],
-              report.transconductances))),
+             (*report.steps[:, :2].T, report.transconductances))),
         "photon_interval_histogram.csv": csv_text(
             "qpcsim figure: photon inter-arrival histogram", header,
             (None, "bin_start_s,count", histogram)),

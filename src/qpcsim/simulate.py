@@ -37,7 +37,6 @@ from .transport import (
     TIME_AXIS,
     DeviceParams,
     Trace,
-    TruthEvent,  # re-exported: the row type of a trace's capture log
     conductance,
     require_finite,
     sweep,

@@ -11,9 +11,7 @@ throughout; one unit is ~1/12906 ohm.
 Every mode shares the tunnel width and kT, so the thermally averaged
 transmission is one function Phi(x) of x = E_F - subband bottom.  G and
 dG/dV sum Phi and Phi' a mode at a time, so no evaluation holds an array
-that grows with the mode count, from a table built once per device; an
-explicit `quad_order` integrates directly instead, as the oracle for the
-table.
+that grows with the mode count, from a table built once per device.
 
 The shoulder below the first plateau is modeled phenomenologically by
 splitting the lowest mode into two weighted logistic components offset in
@@ -170,7 +168,7 @@ class Trace:
             raise ValueError("times and conductance must have the same length")
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.conductance))):
             raise ValueError("trace samples must be finite (no NaN or inf)")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
+        if not np.all(self.times[1:] > self.times[:-1]):
             raise ValueError("sample positions must be strictly increasing")
         if self.axis_kind not in (GATE_AXIS, TIME_AXIS):
             raise ValueError(f"axis must be {GATE_AXIS} or {TIME_AXIS}, got {self.axis_kind!r}")
@@ -196,7 +194,7 @@ ConductanceCurve = Trace
 
 
 @lru_cache(maxsize=8)
-def _thermal_kernel(kt: float, tunnel_width: float, quad_order: int):
+def _thermal_kernel(kt: float, tunnel_width: float, nodes: int):
     """Trapezoid offsets and normalized weights over +-40 narrower scales, and the wider scale.
 
     Phi(x) is the CDF at x of the sum of two logistic variables of scales kT
@@ -205,7 +203,7 @@ def _thermal_kernel(kt: float, tunnel_width: float, quad_order: int):
     and shared between callers, so the arrays are read-only.
     """
     narrow, wide = sorted((kt, tunnel_width / (2.0 * np.pi)))
-    y = np.linspace(-40.0, 40.0, quad_order)
+    y = np.linspace(-40.0, 40.0, nodes)
     offsets, kernel = narrow * y, 1.0 / (4.0 * np.cosh(0.5 * y) ** 2)
     kernel /= kernel.sum()
     offsets.flags.writeable = kernel.flags.writeable = False
@@ -217,7 +215,7 @@ def _logistic_transmission(energy, subband_bottom, tunnel_width):
     return 1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
 
 
-def _thermal_average(x, kt: float, tunnel_width: float, quad_order: int):
+def _thermal_average(x, kt: float, tunnel_width: float, nodes: int):
     """Phi(x) = sum_k K_k F(x + u_k) and its first three x-derivatives, by quadrature.
 
     F is the logistic CDF of the wider scale and K the narrower density at the
@@ -225,7 +223,7 @@ def _thermal_average(x, kt: float, tunnel_width: float, quad_order: int):
     s^3 F(1-F)(1-6F+6F^2) under the same sum, with s = 1/wide.
     Taken _QUAD_BLOCK points at a time, so memory does not grow with points x nodes.
     """
-    offsets, kernel, wide = _thermal_kernel(kt, tunnel_width, quad_order)
+    offsets, kernel, wide = _thermal_kernel(kt, tunnel_width, nodes)
     s = 1.0 / wide
     x = np.asarray(x, dtype=float)
     out, column = np.empty((4, x.size)), x.reshape(-1, 1)
@@ -284,18 +282,14 @@ def _transmission_table(kt: float, tunnel_width: float):
             _Hermite(x[0], h, d1, d2, d3, 0.0, np.inf))
 
 
-def _mode_sum(effective_gate_voltage, params: DeviceParams, quad_order, order: int):
-    """Sum over modes of Phi (order 0) or Phi' (order 1) at x = E_F - subband bottom.
+def _mode_sum(effective_gate_voltage, params: DeviceParams, phi):
+    """Sum over modes of phi (the table's Phi or Phi') at x = E_F - subband bottom.
 
-    From the device's table, or by quadrature when quad_order is given; a mode
-    at a time, so memory does not grow with num_modes.  With the shoulder
-    model, mode 0 mixes Phi(x) and Phi(x - anomaly_split).
+    A mode at a time, so memory does not grow with num_modes.  With the
+    shoulder model, mode 0 mixes phi(x) and phi(x - anomaly_split).
     """
     scalar_in = np.isscalar(effective_gate_voltage)
     v = np.atleast_1d(np.asarray(effective_gate_voltage, dtype=float))
-    kt, width = params.thermal_energy, params.tunnel_width
-    phi = (_transmission_table(kt, width)[order] if not quad_order else
-           lambda x: _thermal_average(x, kt, width, quad_order)[order])
     x = params.fermi_energy - params.subband_bottom(0, v)
     total = phi(x)
     if params.anomaly_enabled:
@@ -306,26 +300,40 @@ def _mode_sum(effective_gate_voltage, params: DeviceParams, quad_order, order: i
     return float(total[0]) if scalar_in else total
 
 
-def conductance(effective_gate_voltage, params: DeviceParams,
-                quad_order: int | None = None) -> np.ndarray | float:
+def conductance(effective_gate_voltage, params: DeviceParams) -> np.ndarray | float:
     """Linear-response conductance (units of 2e^2/h) at a gate voltage.
 
     Sum over modes of the transmission averaged against the thermal kernel
-    (-df/dE) around E_F, read from the device's table; an explicit
-    quad_order integrates directly instead.  Accepts scalars or arrays.
+    (-df/dE) around E_F, read from the device's table.  Accepts scalars or
+    arrays.
     """
-    return _mode_sum(effective_gate_voltage, params, quad_order, 0)
+    phi = _transmission_table(params.thermal_energy, params.tunnel_width)[0]
+    return _mode_sum(effective_gate_voltage, params, phi)
 
 
-def transconductance(effective_gate_voltage, params: DeviceParams,
-                     quad_order: int | None = None) -> np.ndarray | float:
+def transconductance(effective_gate_voltage, params: DeviceParams) -> np.ndarray | float:
     """Analytic dG/dV_g (units (2e^2/h)/V) of the model conductance.
 
     lever_arm times the sum over modes of Phi', the logistic's derivative
     under the same thermal average as `conductance`, so it is consistent
     with finite differences of G to the table's accuracy.
     """
-    return params.lever_arm * _mode_sum(effective_gate_voltage, params, quad_order, 1)
+    phi = _transmission_table(params.thermal_energy, params.tunnel_width)[1]
+    return params.lever_arm * _mode_sum(effective_gate_voltage, params, phi)
+
+
+def _linspace(start: float, stop: float, n: int) -> np.ndarray:
+    """`np.linspace(start, stop, n)` bit for bit, for n >= 2, as an array that owns
+    its data: linspace returns a view, which `Trace` would copy."""
+    y, delta = np.arange(n, dtype=float), float(stop) - float(start)
+    if delta / (n - 1) == 0.0:  # a step that underflows: linspace divides first
+        y /= n - 1
+        y *= delta
+    else:
+        y *= delta / (n - 1)
+    y += start
+    y[-1] = stop
+    return y
 
 
 def sweep(v_start: float, v_end: float, n_points: int,
@@ -338,9 +346,8 @@ def sweep(v_start: float, v_end: float, n_points: int,
         raise ValueError("v_start must be < v_end")
     if not 2 <= n_points <= MAX_SAMPLES:
         raise ValueError(f"n_points must be in [2, {MAX_SAMPLES}], got {n_points}")
-    v = np.linspace(v_start, v_end, n_points)
-    g = conductance(v, params)
-    return Trace(GATE_AXIS, v, g)
+    v = _linspace(v_start, v_end, n_points)
+    return Trace(GATE_AXIS, v, conductance(v, params))
 
 
 def differential_conductance(curve: Trace) -> Trace:

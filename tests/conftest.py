@@ -11,6 +11,7 @@ from qpcsim import (
     simulate_exposure,
 )
 from qpcsim.cli import subseed
+from qpcsim.transport import _mode_sum, _thermal_average
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +50,17 @@ def _peak_bytes(call, *args):
 def peak_bytes():
     """`peak_bytes(call, *args)`: tracemalloc's peak, in bytes, while `call(*args)` runs."""
     return _peak_bytes
+
+
+def _by_quadrature(v, params, nodes, derivative=0):
+    kt, width = params.thermal_energy, params.tunnel_width
+    total = _mode_sum(v, params, lambda x: _thermal_average(x, kt, width, nodes)[derivative])
+    return params.lever_arm * total if derivative else total
+
+
+@pytest.fixture(scope="session")
+def by_quadrature():
+    """`by_quadrature(v, params, nodes, derivative=0)`: G (derivative 0) or dG/dVg (1)
+    summed over modes from the direct `nodes`-node thermal average, not the table:
+    the oracle the table is checked against."""
+    return _by_quadrature

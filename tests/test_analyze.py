@@ -13,7 +13,6 @@ from scipy import stats
 import qpcsim
 from qpcsim import analyze
 from qpcsim.analyze import (
-    StepEvent,
     _median,
     analyze_trace,
     correlate_heights,
@@ -28,7 +27,6 @@ from qpcsim.charge import PhotonSource, TrapConfig, TrapEnsemble, build_ensemble
 from qpcsim.simulate import (
     ExposureConfig,
     Trace,
-    TruthEvent,
     poisson_event_times,
     simulate_exposure,
 )
@@ -56,15 +54,15 @@ def test_clean_staircase_detected_exactly():
     trace = staircase_trace(step_times, [0.05] * 5)
     steps = detect_steps(trace, window=12, threshold=5.0)
     assert len(steps) == 5
-    for s, t0 in zip(steps, step_times):
-        assert abs(s.height - 0.05) < 1e-9
-        assert abs(s.time - t0) <= 0.5
-    assert all(steps[i].time < steps[i + 1].time for i in range(4))
+    for (time, height, _), t0 in zip(steps, step_times):
+        assert abs(height - 0.05) < 1e-9
+        assert abs(time - t0) <= 0.5
+    assert np.all(np.diff(steps[:, 0]) > 0)
 
 
 def test_flat_noiseless_trace_yields_nothing():
     trace = staircase_trace([], [])
-    assert detect_steps(trace, window=12, threshold=5.0) == []
+    assert detect_steps(trace, window=12, threshold=5.0).shape == (0, 3)
 
 
 def test_dark_noise_false_positives_below_one_per_10k_samples():
@@ -78,7 +76,7 @@ def test_dark_noise_false_positives_below_one_per_10k_samples():
 
 def test_downward_step_never_accepted():
     trace = staircase_trace([300.0], [-0.05], sigma=0.005, seed=5)
-    assert detect_steps(trace, window=12, threshold=5.0) == []
+    assert detect_steps(trace, window=12, threshold=5.0).shape == (0, 3)
 
 
 def test_mixed_direction_only_upward_accepted():
@@ -86,7 +84,7 @@ def test_mixed_direction_only_upward_accepted():
                             sigma=0.005, seed=6)
     steps = detect_steps(trace, window=12, threshold=5.0)
     assert len(steps) == 2
-    assert all(s.height > 0 for s in steps)
+    assert np.all(steps[:, 1] > 0)
 
 
 def test_two_candidates_in_one_window_keep_larger():
@@ -94,7 +92,7 @@ def test_two_candidates_in_one_window_keep_larger():
     trace = staircase_trace([100.0, 101.5], [0.05, 0.08])
     steps = detect_steps(trace, window=12, threshold=5.0)
     assert len(steps) == 1
-    assert steps[0].height == pytest.approx(0.13, abs=0.03)
+    assert steps[0, 1] == pytest.approx(0.13, abs=0.03)
 
 
 def test_detector_preconditions():
@@ -160,7 +158,7 @@ def test_detector_recall_and_precision_on_strong_steps():
         trace = staircase_trace(step_times, heights, n=4200, sigma=sigma,
                                 seed=seed)
         steps = detect_steps(trace, window=window, threshold=5.0)
-        det = np.array([s.time for s in steps])
+        det = steps[:, 0]
         for t0 in step_times:
             if det.size and np.min(np.abs(det - t0)) <= window * 0.5:
                 hits += 1
@@ -187,7 +185,7 @@ def test_rts_contaminated_trace_yields_only_upward_events(device):
     contaminated = Trace(trace.axis_kind, trace.times,
                          trace.conductance + 0.05 * (flips % 2), config=trace.config)
     steps = detect_steps(contaminated, window=12, threshold=5.0)
-    assert all(s.height > 0 for s in steps)
+    assert np.all(steps[:, 1] > 0)
     # the fluctuator really did move both ways
     assert (np.diff(contaminated.conductance) < -0.04).any()
 
@@ -197,9 +195,7 @@ def test_rts_contaminated_trace_yields_only_upward_events(device):
 # ---------------------------------------------------------------------------
 
 def test_histogram_of_regular_events():
-    events = [StepEvent(0.0, 0.1, 9.0), StepEvent(18.0, 0.1, 9.0),
-              StepEvent(36.0, 0.1, 9.0)]
-    _, (starts, counts) = interval_statistics(events, bin_width=6.0)
+    _, (starts, counts) = interval_statistics(np.array([0.0, 18.0, 36.0]), bin_width=6.0)
     assert counts.sum() == 2
     assert counts[3] == 2          # both 18 s intervals in the [18, 24) bin
     assert starts[3] == 18.0
@@ -209,8 +205,7 @@ def test_histogram_of_poisson_events_decays_exponentially():
     rng = np.random.default_rng(77)
     intervals = rng.exponential(18.0, 10_000)
     times = np.concatenate([[0.0], np.cumsum(intervals)])
-    events = [StepEvent(float(t), 0.1, 9.0) for t in times]
-    _, (starts, counts) = interval_statistics(events, bin_width=6.0)
+    _, (starts, counts) = interval_statistics(times, bin_width=6.0)
     keep = counts >= 10
     slope = np.polyfit(starts[keep] + 3.0, np.log(counts[keep]), 1)[0]
     assert slope == pytest.approx(-1.0 / 18.0, rel=0.10)
@@ -345,8 +340,8 @@ def test_plateau_steps_have_tiny_heights(device):
     trace = simulate_exposure(device, constant_ensemble(traps), source, config)
     assert trace.photons_captured == 99
     steps = detect_steps(trace, window=8, threshold=5.0)
-    assert steps, "noiseless detection should still see the micro-steps"
-    assert max(s.height for s in steps) < 1e-3
+    assert len(steps), "noiseless detection should still see the micro-steps"
+    assert steps[:, 1].max() < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +377,7 @@ def test_dark_run_trivially_saturated(device):
     steps = detect_steps(trace, window=12, threshold=5.0)
     saturated, rise = saturation_summary(steps, trace)
     assert saturated
-    assert steps == []
+    assert steps.shape == (0, 3)
     assert abs(rise) < 0.01
 
 
@@ -413,7 +408,7 @@ def test_full_report_structure(default_exposure, device):
     assert len(report.steps) <= trace.photons_captured
     assert trace.photons_captured <= trace.photons_absorbed <= trace.photons_incident
     # detected heights never overshoot the real rise by more than noise room
-    total_heights = sum(s.height for s in report.steps)
+    total_heights = sum(report.steps[:, 1])
     assert total_heights <= report.total_conductance_rise + 0.05
     assert total_heights >= 0.3 * report.total_conductance_rise
     text = report_to_text(report)
@@ -428,7 +423,7 @@ def test_report_on_dark_trace_marks_insufficient_events(device):
     trace = simulate_exposure(device, build_ensemble(TrapConfig(), 3), source,
                               config)
     report = analyze_trace(trace, device=device)
-    assert report.steps == []
+    assert report.steps.shape == (0, 3)
     assert report.interval_fit is None
     assert math.isnan(report.height_correlation)
     assert report.correlation_status == "insufficient events"
@@ -436,17 +431,16 @@ def test_report_on_dark_trace_marks_insufficient_events(device):
 
 
 def test_interval_statistics_is_the_fit_plus_its_histogram():
-    steps = [StepEvent(t, 0.1, 9.0) for t in (0.0, 4.0, 10.0, 11.0, 30.0)]
-    assert interval_statistics(steps[:2]) == (None, ())
-    fit, (starts, counts) = interval_statistics(steps)
+    times = np.array([0.0, 4.0, 10.0, 11.0, 30.0])
+    assert interval_statistics(times[:2]) == (None, ())
+    fit, (starts, counts) = interval_statistics(times)
     assert fit == fit_exponential([4.0, 6.0, 1.0, 19.0])
-    _, (auto_starts, auto_counts) = interval_statistics(steps, fit.mean_interval / 3.0)
+    _, (auto_starts, auto_counts) = interval_statistics(times, fit.mean_interval / 3.0)
     assert np.array_equal(starts, auto_starts) and np.array_equal(counts, auto_counts)
-    _, (starts, counts) = interval_statistics(steps, bin_width=5.0)
+    _, (starts, counts) = interval_statistics(times, bin_width=5.0)
     assert starts.tolist() == [0.0, 5.0, 10.0, 15.0] and counts.tolist() == [2, 1, 0, 1]
-    # truth events carry a .time too
-    truth = [TruthEvent(s.time, 0.002) for s in steps]
-    assert interval_statistics(truth, 5.0)[0] == fit
+    # any sequence of times will do, a list too
+    assert interval_statistics(times.tolist(), 5.0)[0] == fit
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -458,20 +452,19 @@ def test_detector_rejects_non_finite_threshold(bad):
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
 def test_histogram_rejects_bin_width_outside_zero_to_inf(bad):
-    events = [StepEvent(0.0, 0.1, 9.0), StepEvent(1.0, 0.1, 9.0)]
     with pytest.raises(ValueError, match="bin_width"):
-        interval_statistics(events, bad)
+        interval_statistics(np.array([0.0, 1.0]), bad)
 
 
 def test_histogram_rejects_a_bin_width_needing_over_max_samples_bins(monkeypatch):
     # a 1e-9 s bin on a default run's intervals asked np.bincount for TiB of counts
-    steps = [StepEvent(t, 0.1, 9.0) for t in (0.0, 1.0, 3.0)]  # longest interval 2 s
+    times = np.array([0.0, 1.0, 3.0])  # longest interval 2 s
     with pytest.raises(ValueError, match="^bin_width 1e-09 needs over 10000000 histogram bins"):
-        interval_statistics(steps, 1e-9)
+        interval_statistics(times, 1e-9)
     with pytest.raises(ValueError, match="bin_width"):
-        interval_statistics(steps, 5e-324)  # 2 / width overflows to inf
+        interval_statistics(times, 5e-324)  # 2 / width overflows to inf
     # the cap is on floor(longest / width) + 1 bins: 4 bins pass a cap of 4, 5 do not
     monkeypatch.setattr(analyze, "MAX_SAMPLES", 4)
-    assert interval_statistics(steps, 0.6)[1][1].tolist() == [0, 1, 0, 1]
+    assert interval_statistics(times, 0.6)[1][1].tolist() == [0, 1, 0, 1]
     with pytest.raises(ValueError, match="^bin_width 0.5 needs over 4 histogram bins"):
-        interval_statistics(steps, 0.5)
+        interval_statistics(times, 0.5)

@@ -14,13 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpcsim import simulate
-from qpcsim.analyze import AnalysisConfig, AnalysisReport, IntervalFit, StepEvent, report_to_text
+from qpcsim.analyze import AnalysisConfig, AnalysisReport, IntervalFit, report_to_text
 from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble
 from qpcsim.cli import RunConfig, main, parse_config, serialize_config
 from qpcsim.simulate import (
     ExposureConfig,
     Trace,
-    TruthEvent,
     _parse_value,
     csv_text,
     fmt,
@@ -123,7 +122,7 @@ true,0,-0.0
 def test_exposure_trace_text_is_pinned():
     trace = Trace(TIME_AXIS, np.array([-1.0, -0.0, 0.5, 1e16]),
                   np.array([5e-324, 1.0, 2.0000000000000004, -1e-300]),
-                  [TruthEvent(0.25, 0.002), TruthEvent(0.5, 1e-05)],
+                  [(0.25, 0.002), (0.5, 1e-05)],
                   dict(EXPOSURE_CONFIG), photons_incident=7, photons_absorbed=3)
     assert trace_to_text(trace) == EXPOSURE_TEXT
 
@@ -136,12 +135,11 @@ def test_trace_without_events_text_is_pinned():
 
 def test_report_with_fit_histogram_and_nan_correlation_is_pinned():
     report = AnalysisReport(
-        steps=[StepEvent(10.5, 0.01, 5.25), StepEvent(42.0, 0.125, 12.0),
-               StepEvent(100.0, 0.0625, 4.5)],
+        steps=np.array([[10.5, 0.01, 5.25], [42.0, 0.125, 12.0], [100.0, 0.0625, 4.5]]),
         interval_fit=IntervalFit(3, 44.75, 1 / 44.75, 0.3),
         height_correlation=math.nan,
-        implied_couplings=[math.nan, 0.002, 0.0015],
-        transconductances=[1e-05, 62.5, 41.666666666666664],
+        implied_couplings=np.array([math.nan, 0.002, 0.0015]),
+        transconductances=np.array([1e-05, 62.5, 41.666666666666664]),
         saturation_detected=False, total_conductance_rise=0.1975,
         correlation_status="undefined", window=8, threshold=4.0,
         histogram=(np.arange(3) * (44.75 / 3.0), np.array([1, 0, 1])),
@@ -151,8 +149,8 @@ def test_report_with_fit_histogram_and_nan_correlation_is_pinned():
 
 def test_report_without_fit_or_histogram_is_pinned():
     report = AnalysisReport(
-        steps=[], interval_fit=None, height_correlation=math.nan,
-        implied_couplings=[], transconductances=[], saturation_detected=True,
+        steps=np.empty((0, 3)), interval_fit=None, height_correlation=math.nan,
+        implied_couplings=np.empty(0), transconductances=np.empty(0), saturation_detected=True,
         total_conductance_rise=-0.0, correlation_status="insufficient events",
     )
     assert report_to_text(report) == EMPTY_REPORT_TEXT
@@ -173,7 +171,7 @@ def test_numpy_floats_in_a_trace_header_read_back_as_floats():
     config = {"gate_bias": np.float64(-1.5), "seed": 3, "dark_lead": 60.0,
               "barrier_includes_buffer": np.bool_(True)}
     trace = Trace(TIME_AXIS, [0.0], [np.float64(0.25)],
-                  [TruthEvent(np.float64(0.5), np.float64(0.001))], config)
+                  [(np.float64(0.5), np.float64(0.001))], config)
     text = trace_to_text(trace)
     assert text.splitlines()[2:6] == ["# barrier_includes_buffer=true",
                                       "# dark_lead=60.0", "# gate_bias=-1.5",
@@ -216,14 +214,13 @@ def traces(draw):
     rows = draw(st.none() | st.lists(st.tuples(finite, finite), max_size=6).map(sorted))
     config = {"initial_gate_shift": draw(finite), "gate_bias": draw(finite),
               "seed": draw(st.integers()), "barrier_includes_buffer": draw(st.booleans())}
-    events = None if rows is None else [TruthEvent(t, c) for t, c in rows]
-    return Trace(draw(st.sampled_from([TIME_AXIS, GATE_AXIS])), times, values, events,
+    return Trace(draw(st.sampled_from([TIME_AXIS, GATE_AXIS])), times, values, rows,
                  config, draw(st.integers(0, 2**63)), draw(st.integers(0, 2**63)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example(trace=Trace(TIME_AXIS, EXTREMES, EXTREMES[::-1],
-                     [TruthEvent(-0.0, 5e-324), TruthEvent(1e308, -0.0)],
+                     [(-0.0, 5e-324), (1e308, -0.0)],
                      {"initial_gate_shift": -0.0}))
 @given(trace=traces())
 def test_trace_text_round_trip_is_bit_exact(trace):
@@ -469,15 +466,13 @@ def line_wise_trace_from_text(text):
     axis_kind = header.pop("axis", TIME_AXIS)
     incident = typed("photons_incident", header.pop("photons_incident", 0), int)
     absorbed = typed("photons_absorbed", header.pop("photons_absorbed", 0), int)
-    events = None
     if event_rows is not None:
         typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
         event_times = [t for t, _ in event_rows]
         if not all(math.isfinite(t) for t in event_times) or \
                 any(b < a for a, b in zip(event_times, event_times[1:])):
             raise ValueError("events section: times must be finite and non-decreasing")
-        events = [TruthEvent(t, c) for t, c in event_rows]
-    return Trace(axis_kind, np.array(times), np.array(values), events, header,
+    return Trace(axis_kind, np.array(times), np.array(values), event_rows, header,
                  photons_incident=incident, photons_absorbed=absorbed)
 
 

@@ -12,7 +12,6 @@ from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble, cumulative_g
 from qpcsim.simulate import (
     ExposureConfig,
     Trace,
-    TruthEvent,
     device_from_config,
     exposure_to_gate_equivalence,
     poisson_event_times,
@@ -27,6 +26,7 @@ from qpcsim.transport import (
     MAX_SAMPLES,
     TIME_AXIS,
     DeviceParams,
+    TruthEvent,
     conductance,
     sweep,
     transconductance,
@@ -402,15 +402,15 @@ def test_truth_events_is_a_new_list_built_from_the_event_array(
     assert events == [TruthEvent(t, c) for t, c in trace.events.tolist()]
     assert np.array(events).tobytes() == trace.events.tobytes()
     text, rows = trace_to_text(trace), trace.events.copy()
-    events.append(TruthEvent(1e9, 1.0))
+    events.append((1e9, 1.0))
     assert len(trace.truth_events) == 8000 and trace.truth_events is not events
     assert np.array_equal(trace.events, rows) and trace_to_text(trace) == text
 
 
 @pytest.mark.parametrize("events, message", [
     # out of order: trace_to_text would write a file that does not read back
-    ([TruthEvent(2.0, 1e-3), TruthEvent(1.0, 1e-3)], "events section: times must be"),
-    ([TruthEvent(math.nan, 1e-3)], "events section: times must be finite"),
+    ([(2.0, 1e-3), (1.0, 1e-3)], "events section: times must be"),
+    ([(math.nan, 1e-3)], "events section: times must be finite"),
     (np.zeros((2, 3)), r"events must have shape \(k, 2\), got \(2, 3\)"),
     (np.zeros(4), r"events must have shape \(k, 2\), got \(4,\)"),
 ])

@@ -161,7 +161,7 @@ def test_sweep_rejects_bad_range(device):
     (-1.5, math.inf, "v_end"), (-math.inf, -1.3, "v_start"), (math.nan, -1.3, "v_start"),
 ])
 def test_sweep_rejects_non_finite_ends_by_name(device, v_start, v_end, name):
-    # checked before np.linspace, which would warn on an infinite step
+    # checked before the grid is built, which would warn on an infinite step
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -172,6 +172,33 @@ def test_sweep_length_is_capped_before_allocating(device):
     # 10^11 points would be 745 GiB of gate voltages
     with pytest.raises(ValueError, match=rf"n_points must be in \[2, {MAX_SAMPLES}\]"):
         sweep(-1.5, -1.3, 10**11, device)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(start=0.0, stop=1e-322, n=100)         # the step underflows to 0
+@example(start=-1e-320, stop=1e-320, n=10**4)   # and again, from subnormal ends
+@example(start=-1e-310, stop=3e-310, n=10**4)   # a subnormal step
+@example(start=-1e308, stop=1e308, n=3)         # the span overflows to inf
+@example(start=-1.5, stop=-1.2, n=601)          # the CLI's default sweep
+@given(start=st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-306, 1e-306),
+       stop=st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-306, 1e-306),
+       n=st.integers(2, 2000))
+def test_sweep_grid_is_linspace_bit_for_bit(start, stop, n):
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, n)
+        grid = transport._linspace(start, stop, n)
+    assert grid.tobytes() == expected.tobytes()
+    assert grid.flags.owndata
+
+
+def test_sweep_holds_its_grid_once(device, peak_bytes, monkeypatch):
+    # A stand-in evaluator, so the peak is the sweep's own arrays: the grid and
+    # G, 8 B a point each, and a byte a point for `Trace`'s order check.  A grid
+    # that `Trace` had to copy would be a third array.
+    monkeypatch.setattr(transport, "conductance", lambda v, params: np.ones_like(v))
+    n = 200_000
+    assert peak_bytes(sweep, -1.5, -1.2, n, device) < 2.5 * 8 * n
+    assert sweep(-1.5, -1.2, n, device).times.tobytes() == np.linspace(-1.5, -1.2, n).tobytes()
 
 
 def test_num_modes_is_capped_by_the_device():
@@ -335,10 +362,10 @@ def test_monotone_and_bounded_over_random_devices():
         assert g.min() >= 0.0 and g.max() <= params.num_modes + 1e-12
 
 
-def test_quadrature_doubling_converged(device):
+def test_quadrature_doubling_converged(device, by_quadrature):
     v = np.linspace(-1.52, -1.18, 120)
     g1 = np.asarray(conductance(v, device))
-    g2 = np.asarray(conductance(v, device, quad_order=320))
+    g2 = np.asarray(by_quadrature(v, device, 320))
     assert np.abs(g1 - g2).max() < 1e-8
 
 

@@ -2,7 +2,7 @@
 
 `conductance` and `transconductance` read the thermally averaged
 transmission from a table built once per device, of at most 5,121 nodes
-whatever kT and the tunnel width; an explicit `quad_order` integrates
+whatever kT and the tunnel width; the `by_quadrature` fixture integrates
 directly and is the oracle here.  `_invert_conductance` starts
 from the analyzer's model grid and polishes with Newton steps.
 """
@@ -67,11 +67,10 @@ def test_table_conductance_monotone_bounded_and_slope_nonnegative(params):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example(params=HOT)
 @given(params=random_devices)
-def test_table_matches_direct_quadrature(params):
+def test_table_matches_direct_quadrature(params, by_quadrature):
     v = operating_grid(params)
-    g_err = np.abs(conductance(v, params) - conductance(v, params, quad_order=QUAD_ORDER))
-    dg_err = np.abs(transconductance(v, params)
-                    - transconductance(v, params, quad_order=QUAD_ORDER))
+    g_err = np.abs(conductance(v, params) - by_quadrature(v, params, QUAD_ORDER))
+    dg_err = np.abs(transconductance(v, params) - by_quadrature(v, params, QUAD_ORDER, 1))
     assert g_err.max() <= 1e-10
     assert dg_err.max() <= 1e-7
 
