@@ -49,7 +49,6 @@ from .transport import (
     Trace,
     conductance,
     differential_conductance,
-    sweep,
     transconductance,
 )
 
@@ -65,5 +64,5 @@ __all__ = [
     "ExposureConfig", "Trace", "exposure_to_gate_equivalence",
     "poisson_event_times", "read_trace", "simulate_exposure", "simulate_gate_sweep",
     "ConductanceCurve", "DeviceParams", "conductance", "differential_conductance",
-    "sweep", "transconductance",
+    "transconductance",
 ]

@@ -79,10 +79,15 @@ class AnalysisReport:
     transconductances: np.ndarray        # model dG/dVg per step
     saturation_detected: bool
     total_conductance_rise: float
-    correlation_status: str = "ok"       # "ok" | "insufficient events" | "undefined"
-    window: int = DEFAULT_WINDOW
-    threshold: float = DEFAULT_THRESHOLD
+    config: AnalysisConfig = AnalysisConfig()        # the settings it ran with
     histogram: tuple = field(default_factory=tuple)  # (bin starts, counts)
+
+    @property
+    def correlation_status(self) -> str:
+        """"insufficient events" below 3 steps, "undefined" when r is NaN, else "ok"."""
+        if len(self.steps) < 3:
+            return "insufficient events"
+        return "undefined" if math.isnan(self.height_correlation) else "ok"
 
 
 def _median(x: np.ndarray) -> float:
@@ -336,17 +341,14 @@ def analyze_trace(trace: Trace, device: DeviceParams | None = None,
     fit, histogram = interval_statistics(steps[:, 0], config.bin_width)
     if len(steps) >= 3:
         r, implied, trans = correlate_heights(steps, trace, device, window=config.window)
-        status = "undefined" if math.isnan(r) else "ok"
     else:
         r, implied, trans = math.nan, np.full(len(steps), math.nan), np.full(len(steps), math.nan)
-        status = "insufficient events"
 
     saturated, rise = saturation_summary(steps, trace)
     return AnalysisReport(
         steps=steps, interval_fit=fit, height_correlation=r,
         implied_couplings=implied, transconductances=trans,
-        saturation_detected=saturated, total_conductance_rise=rise,
-        correlation_status=status, window=config.window, threshold=config.threshold,
+        saturation_detected=saturated, total_conductance_rise=rise, config=config,
         histogram=histogram,
     )
 
@@ -362,7 +364,7 @@ def report_to_text(report: AnalysisReport) -> str:
     fit, steps = report.interval_fit, report.steps
     return csv_text(
         "qpcsim analysis report v1",
-        {"window": report.window, "threshold": float(report.threshold)},
+        {"window": report.config.window, "threshold": float(report.config.threshold)},
         ("[steps]",
          "time_s,height_G0,confidence,transconductance_G0_per_V,implied_coupling_V",
          (*steps.T, report.transconductances, report.implied_couplings)),

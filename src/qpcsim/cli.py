@@ -47,7 +47,6 @@ from .transport import (
     DeviceParams,
     Trace,
     differential_conductance,
-    sweep,
     transconductance,
 )
 
@@ -71,10 +70,6 @@ class RunConfig:
     exposure: ExposureConfig
     analysis: AnalysisConfig = AnalysisConfig()
     seed: int = 1
-
-
-def default_config() -> RunConfig:
-    return RunConfig(DeviceParams(), TrapConfig(), PhotonSource(), ExposureConfig())
 
 
 def subseed(master: int, tag: str) -> int:
@@ -223,9 +218,7 @@ def cmd_reproduce_figures(cfg: RunConfig, args: argparse.Namespace) -> list[Path
     setting leaves no partial output."""
     device = cfg.device
     v0 = device.threshold_voltage
-    v1 = v0 + DEFAULT_SWEEP_SPAN
-
-    gate_curve = sweep(v0, v1, DEFAULT_SWEEP_POINTS, device)
+    gate_curve = simulate_gate_sweep(device, v0, v0 + DEFAULT_SWEEP_SPAN, DEFAULT_SWEEP_POINTS)
     trace = _run_exposure(cfg)
     remap = exposure_to_gate_equivalence(trace)
     report = analyze_trace(trace, device, cfg.analysis)

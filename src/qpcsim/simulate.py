@@ -39,7 +39,6 @@ from .transport import (
     Trace,
     conductance,
     require_finite,
-    sweep,
 )
 
 
@@ -79,11 +78,12 @@ def poisson_event_times(rate: float, duration: float,
     # draw gaps in blocks; tail blocks are rarely needed
     block = max(16, int(rate * duration * 1.25) + 16)
     while True:
-        gaps = rng.exponential(1.0 / rate, block)
-        arr = t + np.cumsum(gaps)
-        inside = arr[arr <= duration]
-        times.append(inside)
-        if inside.size < arr.size:
+        arr = rng.exponential(1.0 / rate, block)
+        np.cumsum(arr, out=arr)
+        arr += t
+        inside = np.searchsorted(arr, duration, side="right")  # arr is sorted
+        times.append(arr[:inside])
+        if inside < arr.size:
             return np.concatenate(times)
         t = arr[-1]
         block = max(16, block // 4)
@@ -138,20 +138,44 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
                  photons_absorbed=int(absorbed.size))
 
 
+def _linspace(start: float, stop: float, n: int) -> np.ndarray:
+    """`np.linspace(start, stop, n)` bit for bit, for n >= 2, as an array that owns
+    its data: linspace returns a view, which `Trace` would copy."""
+    y, delta = np.arange(n, dtype=float), float(stop) - float(start)
+    if delta / (n - 1) == 0.0:  # a step that underflows: linspace divides first
+        y /= n - 1
+        y *= delta
+    else:
+        y *= delta / (n - 1)
+    y += start
+    y[-1] = stop
+    return y
+
+
 def simulate_gate_sweep(device: DeviceParams, v_start: float, v_end: float,
                         n_points: int, noise_sigma: float = 0.0,
                         seed: int = 0) -> Trace:
-    """Gate sweep with additive Gaussian noise; noiseless equals the model curve."""
-    curve = sweep(v_start, v_end, n_points, device)
+    """Conductance on a uniform gate-voltage grid plus Gaussian noise of `noise_sigma`.
+
+    Noiseless, it is the model curve.  Every argument is checked before
+    anything is evaluated.
+    """
+    for name, value in (("v_start", v_start), ("v_end", v_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not v_start < v_end:
+        raise ValueError("v_start must be < v_end")
+    if not 2 <= n_points <= MAX_SAMPLES:
+        raise ValueError(f"n_points must be in [2, {MAX_SAMPLES}], got {n_points}")
     if not 0.0 <= noise_sigma < math.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
-    g = curve.conductance
+    v = _linspace(v_start, v_end, n_points)
+    g = conductance(v, device)
     if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        g = g + rng.normal(0.0, noise_sigma, g.size)
+        g = g + np.random.default_rng(seed).normal(0.0, noise_sigma, g.size)
     cfg = {"kind": "sweep", "v_start": v_start, "v_end": v_end, "n_points": n_points,
            "noise_sigma": noise_sigma, "seed": seed, **_device_snapshot(device)}
-    return Trace(GATE_AXIS, curve.times, g, config=cfg)
+    return Trace(GATE_AXIS, v, g, config=cfg)
 
 
 def exposure_to_gate_equivalence(trace: Trace) -> Trace:

@@ -193,23 +193,6 @@ class Trace:
 ConductanceCurve = Trace
 
 
-@lru_cache(maxsize=8)
-def _thermal_kernel(kt: float, tunnel_width: float, nodes: int):
-    """Trapezoid offsets and normalized weights over +-40 narrower scales, and the wider scale.
-
-    Phi(x) is the CDF at x of the sum of two logistic variables of scales kT
-    (-df/dE) and w/2pi (the transmission step), so it is symmetric in them:
-    the rule integrates the narrower density against the wider CDF.  Cached
-    and shared between callers, so the arrays are read-only.
-    """
-    narrow, wide = sorted((kt, tunnel_width / (2.0 * np.pi)))
-    y = np.linspace(-40.0, 40.0, nodes)
-    offsets, kernel = narrow * y, 1.0 / (4.0 * np.cosh(0.5 * y) ** 2)
-    kernel /= kernel.sum()
-    offsets.flags.writeable = kernel.flags.writeable = False
-    return offsets, kernel, wide
-
-
 def _logistic_transmission(energy, subband_bottom, tunnel_width):
     z = -2.0 * np.pi * np.subtract(energy, subband_bottom, dtype=float) / tunnel_width
     return 1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
@@ -218,12 +201,18 @@ def _logistic_transmission(energy, subband_bottom, tunnel_width):
 def _thermal_average(x, kt: float, tunnel_width: float, nodes: int):
     """Phi(x) = sum_k K_k F(x + u_k) and its first three x-derivatives, by quadrature.
 
-    F is the logistic CDF of the wider scale and K the narrower density at the
-    offsets u_k; the derivatives are s F(1-F), s^2 F(1-F)(1-2F) and
-    s^3 F(1-F)(1-6F+6F^2) under the same sum, with s = 1/wide.
-    Taken _QUAD_BLOCK points at a time, so memory does not grow with points x nodes.
+    Phi(x) is the CDF at x of the sum of two logistic variables of scales kT
+    (-df/dE) and w/2pi (the transmission step), so it is symmetric in them:
+    the trapezoid rule takes the narrower density K, normalized, at `nodes`
+    offsets u_k over +-40 narrower scales, against F, the wider CDF.  The
+    derivatives are s F(1-F), s^2 F(1-F)(1-2F) and s^3 F(1-F)(1-6F+6F^2)
+    under the same sum, with s = 1/wide.  Taken _QUAD_BLOCK points at a
+    time, so memory does not grow with points x nodes.
     """
-    offsets, kernel, wide = _thermal_kernel(kt, tunnel_width, nodes)
+    narrow, wide = sorted((kt, tunnel_width / (2.0 * np.pi)))
+    y = np.linspace(-40.0, 40.0, nodes)
+    offsets, kernel = narrow * y, 1.0 / (4.0 * np.cosh(0.5 * y) ** 2)
+    kernel /= kernel.sum()
     s = 1.0 / wide
     x = np.asarray(x, dtype=float)
     out, column = np.empty((4, x.size)), x.reshape(-1, 1)
@@ -320,34 +309,6 @@ def transconductance(effective_gate_voltage, params: DeviceParams) -> np.ndarray
     """
     phi = _transmission_table(params.thermal_energy, params.tunnel_width)[1]
     return params.lever_arm * _mode_sum(effective_gate_voltage, params, phi)
-
-
-def _linspace(start: float, stop: float, n: int) -> np.ndarray:
-    """`np.linspace(start, stop, n)` bit for bit, for n >= 2, as an array that owns
-    its data: linspace returns a view, which `Trace` would copy."""
-    y, delta = np.arange(n, dtype=float), float(stop) - float(start)
-    if delta / (n - 1) == 0.0:  # a step that underflows: linspace divides first
-        y /= n - 1
-        y *= delta
-    else:
-        y *= delta / (n - 1)
-    y += start
-    y[-1] = stop
-    return y
-
-
-def sweep(v_start: float, v_end: float, n_points: int,
-          params: DeviceParams) -> Trace:
-    """Conductance sampled on a uniform gate-voltage grid."""
-    for name, value in (("v_start", v_start), ("v_end", v_end)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not v_start < v_end:
-        raise ValueError("v_start must be < v_end")
-    if not 2 <= n_points <= MAX_SAMPLES:
-        raise ValueError(f"n_points must be in [2, {MAX_SAMPLES}], got {n_points}")
-    v = _linspace(v_start, v_end, n_points)
-    return Trace(GATE_AXIS, v, conductance(v, params))
 
 
 def differential_conductance(curve: Trace) -> Trace:

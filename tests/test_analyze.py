@@ -13,6 +13,7 @@ from scipy import stats
 import qpcsim
 from qpcsim import analyze
 from qpcsim.analyze import (
+    AnalysisConfig,
     _median,
     analyze_trace,
     correlate_heights,
@@ -428,6 +429,16 @@ def test_report_on_dark_trace_marks_insufficient_events(device):
     assert math.isnan(report.height_correlation)
     assert report.correlation_status == "insufficient events"
     assert report.saturation_detected  # flat signal: already at its asymptote
+
+
+def test_report_holds_the_config_it_ran_with(default_exposure, device):
+    trace, _ = default_exposure
+    config = AnalysisConfig(window=8, threshold=5.0, bin_width=20.0)
+    report = analyze_trace(trace, device, config)
+    assert report.config is config
+    assert report_to_text(report).startswith(
+        "# qpcsim analysis report v1\n# window=8\n# threshold=5.0\n")
+    assert analyze_trace(trace, device).config == AnalysisConfig()
 
 
 def test_interval_statistics_is_the_fit_plus_its_histogram():

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from qpcsim.charge import TrapConfig
+from qpcsim.charge import PhotonSource, TrapConfig
 from qpcsim.cli import (
     ConfigError,
-    default_config,
+    RunConfig,
     main,
     parse_config,
     serialize_config,
     subseed,
 )
-from qpcsim.simulate import read_trace
+from qpcsim.simulate import ExposureConfig, read_trace
 from qpcsim.transport import DeviceParams, conductance
 
 
@@ -19,7 +19,8 @@ from qpcsim.transport import DeviceParams, conductance
 # ---------------------------------------------------------------------------
 
 def test_config_roundtrip_identity():
-    cfg = default_config()
+    cfg = parse_config("")  # no text: every default
+    assert cfg == RunConfig(DeviceParams(), TrapConfig(), PhotonSource(), ExposureConfig())
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -66,7 +67,7 @@ def test_config_rejects_unknown_and_malformed_keys():
 
 def test_serialized_config_lists_every_setting():
     # a new setting shows here as a visible change
-    text = serialize_config(default_config())
+    text = serialize_config(parse_config(""))
     assert [line.partition("=")[0] for line in text.splitlines()] == [
         "seed",
         "analysis.window", "analysis.threshold", "analysis.bin_width",

@@ -141,7 +141,7 @@ def test_report_with_fit_histogram_and_nan_correlation_is_pinned():
         implied_couplings=np.array([math.nan, 0.002, 0.0015]),
         transconductances=np.array([1e-05, 62.5, 41.666666666666664]),
         saturation_detected=False, total_conductance_rise=0.1975,
-        correlation_status="undefined", window=8, threshold=4.0,
+        config=AnalysisConfig(window=8, threshold=4.0),
         histogram=(np.arange(3) * (44.75 / 3.0), np.array([1, 0, 1])),
     )
     assert report_to_text(report) == FULL_REPORT_TEXT
@@ -151,7 +151,7 @@ def test_report_without_fit_or_histogram_is_pinned():
     report = AnalysisReport(
         steps=np.empty((0, 3)), interval_fit=None, height_correlation=math.nan,
         implied_couplings=np.empty(0), transconductances=np.empty(0), saturation_detected=True,
-        total_conductance_rise=-0.0, correlation_status="insufficient events",
+        total_conductance_rise=-0.0,
     )
     assert report_to_text(report) == EMPTY_REPORT_TEXT
 

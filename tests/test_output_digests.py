@@ -2,8 +2,10 @@
 
 For seeds 1, 3 and 57, `sweep`, `expose`, `analyze` (on that exposure) and
 `reproduce-figures` run with no config file, and the seven files they write
-must hash to the digests below.  A change that moves output bytes updates
-these digests and says so in CHANGES.md.
+must hash to the digests below.  So must the two files of the 700 nm path:
+`expose --wavelength 700` with `traps.buffer_trap_count=8000` and
+`source.incident_rate=6.0` in a config file, then `analyze`.  A change that
+moves output bytes updates these digests and says so in CHANGES.md.
 
 numpy's `exp`, `cosh` and `log` give different last bits on different SIMD
 tiers, so one digest set is kept per numpy version and per enabled state of
@@ -147,23 +149,90 @@ DIGESTS = {
 }
 
 
+# {tier: {seed: {file name: sha256}}} of the 700 nm path
+BUFFER_DIGESTS = {
+    AVX512: {
+        1: {
+            "analysis_report.txt":
+                "9c503111334a5365e9cefb0d4914c97ecd8b21d46167dfaec7a3d54753e2d080",
+            "exposure_trace.csv":
+                "a4aa3f8473ed05517579983ae744157b9907f91875072fb574d5910b9f6487d6",
+        },
+        3: {
+            "analysis_report.txt":
+                "acf670f39bb61f9d35a2b54dc980183afa5bed6c726d94d9eb23021847f23630",
+            "exposure_trace.csv":
+                "7edf20e7e604713b002cd097c48e2a08a76c6bc9e32618299500081dd33cc5ff",
+        },
+        57: {
+            "analysis_report.txt":
+                "abf1aac786fdcbe33a5fa951a291869ca229558c8ea8f73d989d7a48b7b3a6ba",
+            "exposure_trace.csv":
+                "b57c5cae562d5131c2db1d2708e8d2b54f857e066110ef23157d60e5b2c9303a",
+        },
+    },
+    AVX2: {
+        1: {
+            "analysis_report.txt":
+                "9c503111334a5365e9cefb0d4914c97ecd8b21d46167dfaec7a3d54753e2d080",
+            "exposure_trace.csv":
+                "5ecd96e2f3d01a2f44962bacc11260857f81e6c62d326753620686189c7dc940",
+        },
+        3: {
+            "analysis_report.txt":
+                "acf670f39bb61f9d35a2b54dc980183afa5bed6c726d94d9eb23021847f23630",
+            "exposure_trace.csv":
+                "ac41faa89bb8978f79d0b179eee8ab192b76905f62d47253ae968ebace50bee9",
+        },
+        57: {
+            "analysis_report.txt":
+                "abf1aac786fdcbe33a5fa951a291869ca229558c8ea8f73d989d7a48b7b3a6ba",
+            "exposure_trace.csv":
+                "27cb484ed1deb0e15181f3da3a02204b344c3dce9fa17c9f6426133648655162",
+        },
+    },
+}
+
+
+def _digests(out) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
 def _run_all(seed: int, out) -> dict[str, str]:
     s = ["--seed", str(seed), "--out", str(out)]
     assert main(["sweep", *s]) == 0
     assert main(["expose", *s]) == 0
     assert main(["analyze", str(out / "exposure_trace.csv"), *s]) == 0
     assert main(["reproduce-figures", *s]) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())}
+    return _digests(out)
+
+
+def _run_buffer(seed: int, tmp) -> dict[str, str]:
+    config, out = tmp / "buffer.cfg", tmp / "out"
+    config.write_text("traps.buffer_trap_count=8000\nsource.incident_rate=6.0\n")
+    s = ["--seed", str(seed), "--out", str(out), "--config", str(config)]
+    assert main(["expose", "--wavelength", "700", *s]) == 0
+    assert main(["analyze", str(out / "exposure_trace.csv"), *s]) == 0
+    return _digests(out)
+
+
+def _recorded_tier(digests):
+    tier = _tier()
+    if tier not in digests:
+        pytest.skip(f"no output digests recorded for numpy {tier[0]} with "
+                    f"{dict(zip(TIER_FEATURES, tier[1]))}")
+    return tier
 
 
 @pytest.mark.parametrize("seed", [1, 3, 57])
 def test_default_cli_outputs_match_their_digests(tmp_path, seed):
-    tier = _tier()
-    if tier not in DIGESTS:
-        pytest.skip(f"no output digests recorded for numpy {tier[0]} with "
-                    f"{dict(zip(TIER_FEATURES, tier[1]))}")
-    assert _run_all(seed, tmp_path) == DIGESTS[tier][seed]
+    assert _run_all(seed, tmp_path) == DIGESTS[_recorded_tier(DIGESTS)][seed]
+
+
+@pytest.mark.parametrize("seed", [1, 3, 57])
+def test_buffer_700_outputs_match_their_digests(tmp_path, seed):
+    assert _run_buffer(seed, tmp_path) == BUFFER_DIGESTS[_recorded_tier(BUFFER_DIGESTS)][seed]
 
 
 def test_avx2_digests_match_in_a_subprocess_of_an_avx512_run():
@@ -173,7 +242,8 @@ def test_avx2_digests_match_in_a_subprocess_of_an_avx512_run():
                PYTHONPATH=str(Path(qpcsim.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_default_cli_outputs_match_their_digests"],
+         f"{__file__}::test_default_cli_outputs_match_their_digests",
+         f"{__file__}::test_buffer_700_outputs_match_their_digests"],
         env=env, cwd=Path(__file__).parents[1], capture_output=True, text=True)
     # a skip (no AVX2 set for this numpy) fails here too
-    assert re.search(r"\b3 passed\b", proc.stdout), proc.stdout[-2000:]
+    assert re.search(r"\b6 passed\b", proc.stdout), proc.stdout[-2000:]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble, cumulative_gate_shift
+from qpcsim import simulate, transport
 from qpcsim.simulate import (
     ExposureConfig,
     Trace,
@@ -28,7 +29,6 @@ from qpcsim.transport import (
     DeviceParams,
     TruthEvent,
     conductance,
-    sweep,
     transconductance,
 )
 
@@ -53,6 +53,32 @@ def test_poisson_event_times_basic():
 def test_poisson_event_times_zero_rate():
     rng = np.random.default_rng(0)
     assert poisson_event_times(0.0, 100.0, rng).size == 0
+
+
+def masked_event_times(rate, duration, rng):
+    """Reference: each block's arrivals kept by a boolean mask, a block at a time."""
+    times, t = [], 0.0
+    block = max(16, int(rate * duration * 1.25) + 16)
+    while True:
+        arr = t + np.cumsum(rng.exponential(1.0 / rate, block))
+        inside = arr[arr <= duration]
+        times.append(inside)
+        if inside.size < arr.size:
+            return np.concatenate(times)
+        t, block = arr[-1], max(16, block // 4)
+
+
+# seeds 5963 and 6460 draw more than the first block's 96 gaps, so they take
+# a tail block (26 of seeds 0..299,999 do)
+@pytest.mark.parametrize("rate,duration,seed", [
+    (1 / 18, 5400.0, 1), (6.0, 5400.0, 2), (0.01, 5400.0, 3), (100.0, 0.01, 4),
+    (64.0, 1.0, 0), (64.0, 1.0, 5963), (64.0, 1.0, 6460),
+])
+def test_poisson_event_times_match_the_masked_reference(rate, duration, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    times = poisson_event_times(rate, duration, rng)
+    assert times.tobytes() == masked_event_times(rate, duration, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_event_count_at_18s_mean_interval(device):
@@ -169,8 +195,8 @@ def test_below_gap_photons_are_never_absorbed(device):
 
 def test_noiseless_sweep_equals_model_curve(device):
     trace = simulate_gate_sweep(device, -1.5, -1.3, 301, 0.0, seed=1)
-    model = sweep(-1.5, -1.3, 301, device)
-    assert np.array_equal(trace.conductance, model.conductance)
+    assert trace.times.tobytes() == np.linspace(-1.5, -1.3, 301).tobytes()
+    assert trace.conductance.tobytes() == conductance(trace.times, device).tobytes()
     assert trace.truth_events is None
     assert trace.axis_kind == GATE_AXIS
 
@@ -191,13 +217,20 @@ def test_sweep_deterministic_per_seed(device):
     assert np.array_equal(a.conductance, b.conductance)
 
 
-def test_sweep_validation(device):
-    with pytest.raises(ValueError):
-        simulate_gate_sweep(device, -1.3, -1.5, 100, 0.0, 1)
-    with pytest.raises(ValueError):
-        simulate_gate_sweep(device, -1.5, -1.3, 1, 0.0, 1)
-    with pytest.raises(ValueError):
-        simulate_gate_sweep(device, -1.5, -1.3, 100, -0.1, 1)
+@pytest.mark.parametrize("grid,noise_sigma,match", [
+    ((-1.5, -1.3, 100), -0.1, "noise_sigma"), ((-1.5, -1.3, 100), math.nan, "noise_sigma"),
+    ((-1.5, -1.3, 100), math.inf, "noise_sigma"), ((-1.3, -1.5, 100), 0.0, "v_start"),
+    ((-1.5, math.nan, 100), 0.0, "v_end"), ((-1.5, -1.3, 1), 0.0, "n_points"),
+])
+def test_sweep_validation(device, monkeypatch, grid, noise_sigma, match):
+    # each bad argument is rejected before the model is evaluated
+    def evaluate(v, params):
+        raise AssertionError("conductance evaluated before the arguments were checked")
+
+    for module in (simulate, transport):
+        monkeypatch.setattr(module, "conductance", evaluate)
+    with pytest.raises(ValueError, match=match):
+        simulate_gate_sweep(device, *grid, noise_sigma, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +554,6 @@ def test_exposure_sample_count_is_capped():
                        sample_interval=1.0)
     with pytest.raises(ValueError, match="sample_interval"):
         ExposureConfig(sample_interval=5e-324)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_sweep_rejects_non_finite_noise(device, bad):
-    with pytest.raises(ValueError, match="noise_sigma"):
-        simulate_gate_sweep(device, -1.5, -1.3, 100, bad, 1)
 
 
 def test_trace_file_with_two_events_sections_is_rejected():

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qpcsim import transport
+from qpcsim import simulate, transport
+from qpcsim.simulate import simulate_gate_sweep
 from qpcsim.transport import (
     GATE_AXIS,
     KB_MEV_PER_K,
@@ -19,7 +20,6 @@ from qpcsim.transport import (
     _logistic_transmission,
     conductance,
     differential_conductance,
-    sweep,
     transconductance,
 )
 
@@ -136,25 +136,25 @@ def test_nonpositive_lever_arm_rejected(lever_arm):
 # ---------------------------------------------------------------------------
 
 def test_sweep_spans_two_plateaus_in_200mV(device):
-    curve = sweep(-1.5, -1.3, 801, device)
+    curve = simulate_gate_sweep(device, -1.5, -1.3, 801)
     assert curve.conductance.max() >= 1.95
     on_first_plateau = np.abs(curve.conductance - 1.0) <= 0.02
     assert on_first_plateau.sum() >= 20  # a genuine flat region, not one point
 
 
 def test_sweep_two_points(device):
-    curve = sweep(-1.5, -1.3, 2, device)
+    curve = simulate_gate_sweep(device, -1.5, -1.3, 2)
     assert len(curve) == 2
     assert np.all((curve.conductance >= 0) & (curve.conductance <= device.num_modes))
 
 
 def test_sweep_rejects_bad_range(device):
     with pytest.raises(ValueError):
-        sweep(-1.3, -1.5, 100, device)
+        simulate_gate_sweep(device, -1.3, -1.5, 100)
     with pytest.raises(ValueError):
-        sweep(-1.5, -1.5, 100, device)
+        simulate_gate_sweep(device, -1.5, -1.5, 100)
     with pytest.raises(ValueError):
-        sweep(-1.5, -1.3, 1, device)
+        simulate_gate_sweep(device, -1.5, -1.3, 1)
 
 
 @pytest.mark.parametrize("v_start,v_end,name", [
@@ -165,13 +165,13 @@ def test_sweep_rejects_non_finite_ends_by_name(device, v_start, v_end, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            sweep(v_start, v_end, 11, device)
+            simulate_gate_sweep(device, v_start, v_end, 11)
 
 
 def test_sweep_length_is_capped_before_allocating(device):
     # 10^11 points would be 745 GiB of gate voltages
     with pytest.raises(ValueError, match=rf"n_points must be in \[2, {MAX_SAMPLES}\]"):
-        sweep(-1.5, -1.3, 10**11, device)
+        simulate_gate_sweep(device, -1.5, -1.3, 10**11)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -186,7 +186,7 @@ def test_sweep_length_is_capped_before_allocating(device):
 def test_sweep_grid_is_linspace_bit_for_bit(start, stop, n):
     with np.errstate(all="ignore"):
         expected = np.linspace(start, stop, n)
-        grid = transport._linspace(start, stop, n)
+        grid = simulate._linspace(start, stop, n)
     assert grid.tobytes() == expected.tobytes()
     assert grid.flags.owndata
 
@@ -195,10 +195,11 @@ def test_sweep_holds_its_grid_once(device, peak_bytes, monkeypatch):
     # A stand-in evaluator, so the peak is the sweep's own arrays: the grid and
     # G, 8 B a point each, and a byte a point for `Trace`'s order check.  A grid
     # that `Trace` had to copy would be a third array.
-    monkeypatch.setattr(transport, "conductance", lambda v, params: np.ones_like(v))
+    monkeypatch.setattr(simulate, "conductance", lambda v, params: np.ones_like(v))
     n = 200_000
-    assert peak_bytes(sweep, -1.5, -1.2, n, device) < 2.5 * 8 * n
-    assert sweep(-1.5, -1.2, n, device).times.tobytes() == np.linspace(-1.5, -1.2, n).tobytes()
+    assert peak_bytes(simulate_gate_sweep, device, -1.5, -1.2, n) < 2.5 * 8 * n
+    grid = simulate_gate_sweep(device, -1.5, -1.2, n).times
+    assert grid.tobytes() == np.linspace(-1.5, -1.2, n).tobytes()
 
 
 def test_num_modes_is_capped_by_the_device():
@@ -207,7 +208,7 @@ def test_num_modes_is_capped_by_the_device():
         DeviceParams(num_modes=MAX_MODES + 1)
     device = DeviceParams(num_modes=MAX_MODES)
     # the last subband opens ~8 V above threshold at the default spacing and lever arm
-    g = sweep(-1.6, 7.5, 20001, device).conductance
+    g = simulate_gate_sweep(device, -1.6, 7.5, 20001).conductance
     assert np.all(np.diff(g) >= 0.0)
     assert g[0] >= 0.0 and g[-1] <= MAX_MODES and g[-1] > MAX_MODES - 0.5
 
@@ -240,7 +241,7 @@ def test_table_build_memory_stays_small(peak_bytes, device):
 
 
 def test_shoulder_is_dgdv_minimum_in_conductance_window(device):
-    curve = sweep(-1.5, -1.2, 3001, device)
+    curve = simulate_gate_sweep(device, -1.5, -1.2, 3001)
     dgdv = differential_conductance(curve)
     g, d = curve.conductance, dgdv.conductance
     dips = [i for i in range(1, len(d) - 1)
@@ -251,7 +252,7 @@ def test_shoulder_is_dgdv_minimum_in_conductance_window(device):
 
 def test_no_shoulder_without_anomaly():
     params = DeviceParams(anomaly_enabled=False)
-    curve = sweep(-1.5, -1.2, 3001, params)
+    curve = simulate_gate_sweep(params, -1.5, -1.2, 3001)
     dgdv = differential_conductance(curve)
     g, d = curve.conductance, dgdv.conductance
     dips = [i for i in range(1, len(d) - 1)
@@ -277,13 +278,13 @@ def test_differential_of_linear_is_slope():
 
 
 def test_differential_needs_three_points(device):
-    curve = sweep(-1.5, -1.4, 2, device)
+    curve = simulate_gate_sweep(device, -1.5, -1.4, 2)
     with pytest.raises(ValueError):
         differential_conductance(curve)
 
 
 def test_differential_extrema_sit_between_and_on_plateaus(device):
-    curve = sweep(-1.48, -1.25, 2301, device)
+    curve = simulate_gate_sweep(device, -1.48, -1.25, 2301)
     dgdv = differential_conductance(curve)
     g, d = curve.conductance, dgdv.conductance
     # largest slope happens mid-riser, far from integer conductance
@@ -296,7 +297,7 @@ def test_differential_extrema_sit_between_and_on_plateaus(device):
 
 
 def test_differential_matches_central_difference_formula(device):
-    curve = sweep(-1.49, -1.3, 501, device)
+    curve = simulate_gate_sweep(device, -1.49, -1.3, 501)
     d = differential_conductance(curve).conductance
     v, g = curve.times, curve.conductance
     expected = (g[2:] - g[:-2]) / (v[2:] - v[:-2])
@@ -421,7 +422,7 @@ def test_curve_rejects_non_increasing_axis():
 def test_conductance_curve_is_the_trace_type(device):
     import qpcsim
     assert qpcsim.ConductanceCurve is qpcsim.Trace is ConductanceCurve
-    curve = sweep(-1.5, -1.4, 11, device)
+    curve = simulate_gate_sweep(device, -1.5, -1.4, 11)
     assert type(curve) is ConductanceCurve and len(curve) == 11
     assert curve.truth_events is None and curve.photons_captured == 0
     assert len(differential_conductance(curve)) == 11
