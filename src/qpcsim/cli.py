@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import os
 import sys
-import tempfile
 import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -152,8 +151,12 @@ def _read_config(path) -> str:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write `text` to a new temp file beside `path`, then rename it to `path`.
+    The temp file is created with mode 0o666, as `open` creates a file, so the
+    umask sets the mode `path` ends up with."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -11,7 +11,9 @@ function.  The sampled signal is the transport-model conductance at
 Every run owns its RNG and its ensemble; identical seeds reproduce a run
 bit-exactly.  Its capture log is one (k, 2) float array of (time, coupling)
 rows, `Trace.events`.  Trace files round-trip exactly (floats are written
-with shortest round-trip repr).
+with shortest round-trip repr).  A table of at least _FLOAT_ROWS rows of
+float columns, such as a trace's samples, gets the same bytes from
+`_shortest`, which computes the digits of a whole column at once.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ class ExposureConfig:
             raise ValueError("sample_interval must be > 0")
         if self.dark_lead < 0:
             raise ValueError("dark_lead must be >= 0")
-        if (self.dark_lead + self.duration) / self.sample_interval > MAX_SAMPLES:
-            raise ValueError("(dark_lead + duration) / sample_interval must be "
-                             f"<= {MAX_SAMPLES} samples")
+        if _sample_steps(self) >= MAX_SAMPLES:  # `_sample_times` makes floor(steps) + 1
+            raise ValueError("floor((dark_lead + duration) / sample_interval) + 1 samples "
+                             f"must be <= {MAX_SAMPLES}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -89,9 +91,13 @@ def poisson_event_times(rate: float, duration: float,
         block = max(16, block // 4)
 
 
+def _sample_steps(config: ExposureConfig) -> float:
+    """Sample intervals from -dark_lead to duration, with 1e-9 of slack for rounding."""
+    return (config.dark_lead + config.duration) / config.sample_interval + 1e-9
+
+
 def _sample_times(config: ExposureConfig) -> np.ndarray:
-    n = int(math.floor((config.dark_lead + config.duration)
-                       / config.sample_interval + 1e-9)) + 1
+    n = math.floor(_sample_steps(config)) + 1
     return -config.dark_lead + np.arange(n) * config.sample_interval
 
 
@@ -225,6 +231,7 @@ def device_from_config(config: dict) -> DeviceParams:
 
 _AXIS_COLUMN = {TIME_AXIS: "time_s", GATE_AXIS: "gate_voltage_V"}
 _WRITE_ROWS = 2048   # rows per writer block: a row's fields hold ~240 B until joined
+_FLOAT_ROWS = 1000   # an all-float table this long is written by `_shortest`
 _READ_CHARS, _READ_LINES = 65536, 4096  # reader blocks: a line holds ~80 B as a str
 
 
@@ -249,7 +256,9 @@ def csv_text(title: str, header: dict, *tables) -> str:
     Each table is (title line or None, column line, columns): equal-length
     columns, written _WRITE_ROWS rows at a time.  A float ndarray column is
     written as `repr` of its Python floats, the bytes `fmt` gives; every other
-    field goes through `fmt`.  Unequal lengths raise ValueError first.
+    field goes through `fmt`.  A table of at least _FLOAT_ROWS rows whose
+    columns are all float ndarrays is written by `_shortest.rows_text`
+    instead, with the same bytes.  Unequal lengths raise ValueError first.
     """
     parts = [f"# {title}\n"] + [f"# {key}={fmt(value)}\n" for key, value in header.items()]
     for table_title, names, columns in tables:
@@ -259,6 +268,12 @@ def csv_text(title: str, header: dict, *tables) -> str:
         rows = len(columns[0]) if len(columns) else 0
         if any(len(col) != rows for col in columns):
             raise ValueError(f"table {names!r}: columns must have equal lengths")
+        floats = all(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns)
+        if floats and rows >= _FLOAT_ROWS:
+            # imported here, so a command that writes no long table never compiles it
+            from . import _shortest
+            parts.extend(_shortest.rows_text(columns))
+            continue
         width = 2 * len(columns)
         for start in range(0, rows, _WRITE_ROWS):
             # one list of fields and separators, "a", ",", ..., "z", "\n" per row

@@ -158,8 +158,11 @@ def test_criterion_5_window_is_out_of_reach_of_the_default_run(device):
     # can find: the captures whose noiseless step G(v + c) - G(v) clears its
     # floor of 4 sigma sqrt(2/12), 0.00816 G0 at sigma = 0.005.  On seeds 1, 3
     # and 57 that is 44, 44 and 43 of 99 captures, and the detector finds 39,
-    # 41 and 41.  A calibration or model change meant to mend criterion 5
-    # must first move these bounds to 60 or more.
+    # 41 and 41.  A detector that averaged the whole segments between captures
+    # (n_before and n_after samples, both > 0) would face a floor of
+    # 4 sigma sqrt(1/n_before + 1/n_after): that segment bound is 48, 47 and 54.
+    # A calibration or model change meant to mend criterion 5 must first move
+    # these bounds to 60 or more.
     for seed in (1, 3, 57):
         config = ExposureConfig(seed=subseed(seed, "exposure"))
         trace = simulate_exposure(device, build_ensemble(TrapConfig(), subseed(seed, "ensemble")),
@@ -170,6 +173,14 @@ def test_criterion_5_window_is_out_of_reach_of_the_default_run(device):
         bound = int(np.sum(steps > floor))
         assert bound < 60, f"seed {seed}: {bound} captures clear the floor"
         assert len(detect_steps(trace)) <= bound
+
+        level = np.searchsorted(trace.events[:, 0], trace.times, side="right")
+        segment = np.bincount(level, minlength=levels.size)
+        before, after = segment[:-1], segment[1:]
+        with np.errstate(divide="ignore"):
+            floors = DEFAULT_THRESHOLD * config.noise_sigma * np.sqrt(1.0 / before + 1.0 / after)
+        segment_bound = int(np.sum(steps > floors))  # an empty segment's floor is inf
+        assert bound <= segment_bound < 60, f"seed {seed}: segment bound {segment_bound}"
 
 
 def test_criterion_6_height_correlation(device):

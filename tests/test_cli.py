@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,23 @@ def test_sweep_oversized_or_non_finite_exits_2_naming_it(tmp_path, capsys, flags
     err = capsys.readouterr().err
     assert err.startswith("qpcsim: invalid input: ") and name in err
     assert "Warning" not in err and not out.exists()
+
+
+def test_outputs_get_the_mode_the_umask_leaves(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert main(["sweep", "--out", str(tmp_path), "--n-points", "41"]) == 0
+        assert main(["expose", "--out", str(tmp_path), "--duration", "60"]) == 0
+        assert main(["analyze", str(tmp_path / "exposure_trace.csv"), "--out", str(tmp_path)]) == 0
+        assert main(["reproduce-figures", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["analysis_report.txt", "exposure_trace.csv", "overlay_gate_photo.csv",
+                       "photon_interval_histogram.csv", "step_heights_vs_transconductance.csv",
+                       "sweep_differential.csv", "sweep_trace.csv"]  # no temp file left
+    assert {name: stat.S_IMODE((tmp_path / name).stat().st_mode) for name in written} \
+        == dict.fromkeys(written, 0o644)
 
 
 def test_sweep_unwritable_path_exits_3(tmp_path):

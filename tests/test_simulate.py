@@ -548,12 +548,23 @@ def test_every_float_config_field_must_be_finite(cls, bad):
 
 
 def test_exposure_sample_count_is_capped():
-    ExposureConfig(dark_lead=0.0, duration=float(MAX_SAMPLES), sample_interval=1.0)
-    with pytest.raises(ValueError, match="sample_interval"):
-        ExposureConfig(dark_lead=1.0, duration=float(MAX_SAMPLES),
-                       sample_interval=1.0)
+    # samples at 0, 1, ..., duration: MAX_SAMPLES of them, then one more
+    ExposureConfig(dark_lead=0.0, duration=float(MAX_SAMPLES - 1), sample_interval=1.0)
+    for dark_lead, duration in ((0.0, MAX_SAMPLES), (1.0, MAX_SAMPLES - 1)):
+        with pytest.raises(ValueError, match="sample_interval"):
+            ExposureConfig(dark_lead=dark_lead, duration=float(duration), sample_interval=1.0)
     with pytest.raises(ValueError, match="sample_interval"):
         ExposureConfig(sample_interval=5e-324)
+
+
+def test_exposure_sample_cap_counts_the_samples_drawn(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_SAMPLES", 100)
+    for dark_lead, duration, interval in ((0.0, 99.0, 1.0), (1.5, 48.0, 0.5), (0.0, 9.9, 0.1)):
+        config = ExposureConfig(dark_lead=dark_lead, duration=duration, sample_interval=interval)
+        assert simulate._sample_times(config).size == 100
+        with pytest.raises(ValueError, match="sample_interval"):
+            ExposureConfig(dark_lead=dark_lead, duration=duration + interval,
+                           sample_interval=interval)
 
 
 def test_trace_file_with_two_events_sections_is_rejected():
