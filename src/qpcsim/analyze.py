@@ -32,7 +32,7 @@ import numpy as np
 
 from .simulate import csv_text, device_from_config
 from .transport import (MAX_SAMPLES, TIME_AXIS, DeviceParams, Trace, conductance,
-                        transconductance)
+                        require_finite, transconductance)
 
 DEFAULT_WINDOW = 12
 DEFAULT_THRESHOLD = 4.0
@@ -59,6 +59,15 @@ class AnalysisConfig:
     window: int = DEFAULT_WINDOW          # detector window, samples
     threshold: float = DEFAULT_THRESHOLD  # detection threshold, noise SEs
     bin_width: float = 0.0                # histogram bin, s; 0 = fitted mean interval / 3
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.window < 2:
+            raise ValueError("window must be >= 2")
+        if self.threshold <= 0:
+            raise ValueError(f"threshold must be finite and > 0, got {self.threshold!r}")
+        if self.bin_width < 0:
+            raise ValueError(f"bin_width must be finite and >= 0, got {self.bin_width!r}")
 
 
 class IntervalFit(NamedTuple):

@@ -13,7 +13,8 @@ bit-exactly.  Its capture log is one (k, 2) float array of (time, coupling)
 rows, `Trace.events`.  Trace files round-trip exactly (floats are written
 with shortest round-trip repr).  A table of at least _FLOAT_ROWS rows of
 float columns, such as a trace's samples, gets the same bytes from
-`_shortest`, which computes the digits of a whole column at once.
+`_shortest`, which computes the digits of a whole column at once.  A trace
+is read a block of lines at a time, a block of data rows by one `np.loadtxt`.
 """
 
 from __future__ import annotations
@@ -229,10 +230,11 @@ def device_from_config(config: dict) -> DeviceParams:
 # sample table, then (for runs with an event log) an 'events' table.
 # ---------------------------------------------------------------------------
 
-_AXIS_COLUMN = {TIME_AXIS: "time_s", GATE_AXIS: "gate_voltage_V"}
+_SAMPLE_COLUMNS = {TIME_AXIS: "time_s,conductance_G0", GATE_AXIS: "gate_voltage_V,conductance_G0"}
+_EVENTS_TABLE = ("events", "time_s,coupling_V")
 _WRITE_ROWS = 2048   # rows per writer block: a row's fields hold ~240 B until joined
 _FLOAT_ROWS = 1000   # an all-float table this long is written by `_shortest`
-_READ_CHARS, _READ_LINES = 65536, 4096  # reader blocks: a line holds ~80 B as a str
+_READ_CHARS = 16384  # characters per reader block: a line holds ~80 B as a str
 
 
 def fmt(value) -> str:
@@ -323,85 +325,73 @@ def trace_to_text(trace: Trace) -> str:
     header.update((key, trace.config[key]) for key in sorted(trace.config))
     header.update(photons_incident=trace.photons_incident,
                   photons_absorbed=trace.photons_absorbed)
-    tables = [(None, f"{_AXIS_COLUMN[trace.axis_kind]},conductance_G0",
-               (trace.times, trace.conductance))]
+    tables = [(None, _SAMPLE_COLUMNS[trace.axis_kind], (trace.times, trace.conductance))]
     if trace.events is not None:
-        tables.append(("events", "time_s,coupling_V", trace.events.T))
+        tables.append((*_EVENTS_TABLE, trace.events.T))
     return csv_text("qpcsim trace v1", header, *tables)
 
 
-def _data_rows(lines: list[str], first_lineno: int) -> np.ndarray:
-    """Up to _READ_LINES data lines as an (n, 2) array: one `np.loadtxt` call (the C
-    parser `float` uses), or, when that rejects them, `float` line by line,
-    which also reads `1_0` and non-ASCII digits and names the first bad line.
-    """
-    try:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        if rows.shape[1] == 2:
-            return rows
-    except ValueError:
-        pass
-    rows = np.empty((len(lines), 2))
-    for i, line in enumerate(lines):
-        a, _, b = line.partition(",")
-        try:
-            rows[i] = float(a), float(b)
-        except ValueError:
-            raise ValueError(f"trace line {first_lineno + i}: {line!r} is neither a known "
-                             "section title, a column line nor a data row") from None
-    return rows
-
-
-def _text_lines(text: str):
-    """`text.splitlines()`, then '', from blocks of _READ_CHARS characters cut after a newline."""
+def _text_blocks(text: str):
+    """`text.splitlines()` as a list per block of _READ_CHARS characters cut after a newline."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _READ_CHARS) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end].splitlines()
         start = end
-    yield ""
 
 
 def trace_from_text(text: str) -> Trace:
-    """The trace `trace_to_text` wrote, read a block of lines and of data rows at a time."""
+    """The trace `trace_to_text` wrote, read a block of lines at a time: a block of data
+    rows and blank lines is one `np.loadtxt` call (the C parser `float` uses), any other
+    is read line by line, each data row by `float`, which also reads `1_0` and non-ASCII
+    digits and names the first bad line."""
     header: dict = {}
     no_rows = np.empty((0, 2))
-    blocks = {"samples": [no_rows], "events": None}  # section -> its parsed runs of rows
-    section, run, first = "samples", [], 0
+    parts = {"samples": [no_rows], "events": None}  # section -> its (n, 2) arrays of rows
+    events_title, events_columns = _EVENTS_TABLE
+    columns = {*_SAMPLE_COLUMNS.values(), events_columns}
+    section, lineno = "samples", 0
 
-    for lineno, raw in enumerate(_text_lines(text), start=1):
-        line = raw.strip()
-        if line and line[0] != "#" and line not in (
-                "events", "time_s,conductance_G0", "gate_voltage_V,conductance_G0",
-                "time_s,coupling_V"):
-            if not run:
-                first = lineno
-            run.append(line)
-            if len(run) < _READ_LINES:
-                continue  # else parse the run now: a data line matches nothing below
-        if run:
-            blocks[section].append(_data_rows(run, first))
-            run = []
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" not in body:
+    for lines in _text_blocks(text):
+        try:  # blank lines alone hold no rows, and loadtxt would warn on them
+            rows = (np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                    if any(lines) else no_rows)
+            if rows.shape[1] == 2:
+                parts[section].append(rows)
+                lineno += len(lines)
                 continue
-            key, _, val = body.partition("=")
-            header[key.strip()] = _parse_value(val.strip())
-        elif line == "events":
-            if blocks["events"] is not None:
-                raise ValueError("trace file has more than one events section")
-            section, blocks["events"] = "events", [no_rows]
+        except ValueError:
+            pass
+        pairs = []
+        for lineno, raw in enumerate(lines, start=lineno + 1):
+            line = raw.strip()
+            if line.startswith("#"):
+                key, eq, val = line[1:].partition("=")
+                if eq:
+                    header[key.strip()] = _parse_value(val.strip())
+            elif line == events_title:
+                if parts["events"] is not None:
+                    raise ValueError("trace file has more than one events section")
+                parts[section].append(np.reshape(pairs, (-1, 2)))
+                section, parts["events"], pairs = "events", [], []
+            elif line and line not in columns:
+                a, _, b = line.partition(",")
+                try:
+                    pairs.append((float(a), float(b)))
+                except ValueError:
+                    raise ValueError(f"trace line {lineno}: {line!r} is neither a known "
+                                     "section title, a column line nor a data row") from None
+        parts[section].append(np.reshape(pairs, (-1, 2)))
 
     axis_kind = header.pop("axis", TIME_AXIS)
     incident, absorbed = (typed(key, header.pop(key, 0), int)
                           for key in ("photons_incident", "photons_absorbed"))
-    times, values = (np.concatenate([rows[:, j] for rows in blocks["samples"]]) for j in (0, 1))
+    times, values = (np.concatenate([rows[:, j] for rows in parts["samples"]]) for j in (0, 1))
     events = None
-    if blocks["events"] is not None:
+    if parts["events"] is not None:
         # must be a number: the shift levels are rebuilt from it
         typed("initial_gate_shift", header.get("initial_gate_shift", 0.0), float)
-        events = np.concatenate(blocks["events"])  # Trace checks the event times
+        events = np.concatenate(parts["events"])  # Trace checks the event times
 
     return Trace(axis_kind, times, values, events, header,
                  photons_incident=incident, photons_absorbed=absorbed)

@@ -341,10 +341,14 @@ def test_figures_rerun_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["device.temperature=nan", "exposure.duration=inf",
-                                  "exposure.sample_interval=1e-12"])
+                                  "exposure.sample_interval=1e-12",
+                                  "analysis.window=1",
+                                  "analysis.threshold=nan",
+                                  "analysis.bin_width=-1"])
 def test_non_finite_or_oversized_config_exits_2(tmp_path, capsys, line):
     # each used to get past the config: an all-NaN trace, an OverflowError
-    # (exit 1) in the photon draw, a failed multi-petabyte allocation
+    # (exit 1) in the photon draw, a failed multi-petabyte allocation, and
+    # analysis settings that `expose` never used
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     assert main(["expose", "--config", str(cfg), "--out", str(tmp_path)]) == 2

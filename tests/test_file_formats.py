@@ -267,8 +267,8 @@ run_configs = st.builds(
     source=st.builds(PhotonSource, wavelength=positive, incident_rate=non_negative,
                      quantum_efficiency=st.floats(0.0, 1.0)),
     exposure=exposures(),
-    analysis=st.builds(AnalysisConfig, window=st.integers(), threshold=finite,
-                       bin_width=finite),
+    analysis=st.builds(AnalysisConfig, window=st.integers(min_value=2), threshold=positive,
+                       bin_width=non_negative),
     seed=st.integers(),
 )
 
@@ -571,43 +571,60 @@ def long_trace_lines():
             "exposure": trace_to_text(exposure).splitlines()}
 
 
-def block_edges(lines, ending):
-    """Indices of the lines that start a block of text, and that start a new run of data."""
-    text = ending.join(lines) + ending
-    cuts, runs, start = set(), set(), 0
+def block_cuts(text):
+    """Indices of the lines that start a block of `text`, after the first."""
+    cuts, start = [], 0
     while (end := text.find("\n", start + simulate._READ_CHARS) + 1) and end < len(text):
-        cuts.add(text.count("\n", 0, end))
+        cuts.append(text.count("\n", 0, end))
         start = end
-    columns = [i for i, line in enumerate(lines) if line.endswith(("_G0", "_V"))]
-    for i, end in zip(columns, columns[1:] + [len(lines)]):  # each column line starts a run
-        runs.update(range(i + 1 + simulate._READ_LINES, end, simulate._READ_LINES))
-    return cuts, runs
+    return cuts
+
+
+def flat_blocks(text):
+    return [line for block in simulate._text_blocks(text) for line in block]
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
 @pytest.mark.parametrize("kind", ["sweep", "exposure"])
-def test_block_reader_matches_line_wise_reader_at_block_edges(long_trace_lines, kind, ending):
+def test_block_reader_matches_line_wise_reader_at_block_edges(long_trace_lines, kind, ending,
+                                                              monkeypatch):
     """Each of ODD_LINES at each block edge and the lines either side of it.
 
-    The reader acts on the lines it is handed, in order, so where the text is
-    cut it matches when those are the lines `splitlines` gives.  Where a run
-    of data lines is parted, `_data_rows` reads the parts: there the two
-    readers' outcomes are compared.
+    The whole trace is read in blocks of the module's size.  The edits are
+    read in blocks of 2,048 characters over the first 600 lines, which keeps
+    the texts short: the first block holds the header, the sweep's later
+    blocks hold samples alone, the exposure's second block holds the events
+    title and its later blocks events alone.
     """
-    lines = long_trace_lines[kind]
-    cuts, runs = block_edges(lines, ending)
-    assert len(cuts) >= 4 and runs
-    assert read_outcome(trace_from_text, ending.join(lines) + ending) == \
-        read_outcome(line_wise_trace_from_text, ending.join(lines) + ending)
-    for edge in sorted(cuts | runs):
+    text = ending.join(long_trace_lines[kind]) + ending
+    assert len(block_cuts(text)) >= 16
+    assert flat_blocks(text) == text.splitlines()
+    assert read_outcome(trace_from_text, text) == read_outcome(line_wise_trace_from_text, text)
+    monkeypatch.setattr(simulate, "_READ_CHARS", 2048)
+    lines = long_trace_lines[kind][:600]
+    cuts = block_cuts(ending.join(lines) + ending)
+    assert len(cuts) >= 7
+    for edge in cuts:
         for at in (edge - 1, edge, edge + 1):
             for line in ODD_LINES:
                 text = ending.join(lines[:at] + [line] + lines[at + 1:]) + ending
-                assert list(simulate._text_lines(text)) == text.splitlines() + [""], \
-                    (edge, at, line)
-                if edge in runs:
-                    assert read_outcome(trace_from_text, text) == \
-                        read_outcome(line_wise_trace_from_text, text), (edge, at, line)
+                assert flat_blocks(text) == text.splitlines(), (edge, at, line)
+                assert read_outcome(trace_from_text, text) == \
+                    read_outcome(line_wise_trace_from_text, text), (edge, at, line)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("blank", ["", " ", "\t \xa0"])
+def test_runs_of_blank_lines_longer_than_a_block_read_like_the_reference(long_trace_lines,
+                                                                        blank):
+    # loadtxt warns on a block of empty lines, and rejects whitespace-only lines
+    lines = long_trace_lines["sweep"]
+    run = [blank] * (2 * simulate._READ_CHARS // (len(blank) + 1))  # a block of them, at least
+    text = "\n".join(lines[:5000] + run + lines[5000:]) + "\n"
+    assert any(not "".join(block).strip() for block in simulate._text_blocks(text))
+    assert read_outcome(trace_from_text, text) == read_outcome(line_wise_trace_from_text, text)
+    assert trace_from_text(text).times.size == \
+        len(lines) - lines.index("gate_voltage_V,conductance_G0") - 1
 
 
 @pytest.fixture(scope="module")

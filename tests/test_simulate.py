@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qpcsim.analyze import AnalysisConfig
 from qpcsim.charge import PhotonSource, TrapConfig, build_ensemble, cumulative_gate_shift
 from qpcsim import simulate, transport
 from qpcsim.simulate import (
@@ -537,7 +538,8 @@ def test_exposure_config_validation():
         ExposureConfig(noise_sigma=-1.0)
 
 
-@pytest.mark.parametrize("cls", [DeviceParams, TrapConfig, PhotonSource, ExposureConfig])
+@pytest.mark.parametrize("cls", [DeviceParams, TrapConfig, PhotonSource, ExposureConfig,
+                                 AnalysisConfig])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_every_float_config_field_must_be_finite(cls, bad):
     names = [f.name for f in fields(cls) if isinstance(getattr(cls(), f.name), float)]
