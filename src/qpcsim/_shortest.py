@@ -10,6 +10,12 @@ that large) go through `repr` one at a time.  The digits are then laid out
 as CPython does: positional when the decimal point is in (-4, 16], `.0` on
 integers, else `d.ddde-XX`.
 
+Short decimals skip Ryū: where |x| < 10^12 is m / 10^3 as a double for an
+integer m (every sample time of an exposure clock), m has at most 15 digits,
+and by DBL_DIG no other decimal of 15 digits or fewer reads back as x, so
+m without its trailing zeros is the shortest.  A block looks for them only
+when its first value is one, so a 17-digit column pays one scalar test.
+
 Each element's text is built in four uint64 words, read as little-endian
 bytes and NUL-padded, and the NULs of a whole block of rows are dropped at
 once.  All integer arithmetic stays in uint64 with np.uint64 scalars: an
@@ -146,6 +152,13 @@ def _decimal(bits, t):
     return digits, r + t["e10"].take(biased)
 
 
+def _short(mag):
+    """The integer m of each |x| < 10^12 that is m / 10^3 as a double, else 0."""
+    # no arithmetic on NaN (a signalling one warns) or on values that would overflow
+    m = np.rint(np.where(mag < 1e12, mag, 0.0) * 1e3)
+    return np.where(m / 1e3 == mag, m, 0.0).astype(np.uint64)
+
+
 def fill(x: np.ndarray, out: np.ndarray, end: str) -> None:
     """Write `repr(float(v)) + end` of each element v of the float array `x` into
     the rows of the (len(x), WORDS) uint64 array `out`, as little-endian bytes
@@ -154,7 +167,16 @@ def fill(x: np.ndarray, out: np.ndarray, end: str) -> None:
     x = np.asarray(x, dtype=np.float64)
     mag = np.abs(x)
     fast, zero = mag < _LIMIT, mag == 0.0
-    digits, exponent = _decimal(np.where(fast & ~zero, mag, 1.0).view(np.uint64), t)
+    ryu = fast & ~zero
+    if _short(mag[:1])[0]:  # the gate picks the path, never the digits
+        m = _short(mag)
+        tz = _trailing_zeros(np.maximum(m, _U(1)))
+        digits, exponent = m // _POW10.take(tz), tz - 3
+        ryu &= m == 0
+        if ryu.any():
+            digits[ryu], exponent[ryu] = _decimal(mag[ryu].view(np.uint64), t)
+    else:
+        digits, exponent = _decimal(np.where(ryu, mag, 1.0).view(np.uint64), t)
     digits[zero] = 0
 
     n = np.maximum(np.searchsorted(_POW10, digits, side="right"), 1)

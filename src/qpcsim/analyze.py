@@ -119,12 +119,15 @@ def estimate_noise_sigma(samples: np.ndarray) -> float:
     return float(mad / _MAD_TO_SIGMA / math.sqrt(2.0))
 
 
-def _mean_difference(samples: np.ndarray, window: int):
-    """Statistic d[j] = mean(x[i:i+w]) - mean(x[i-w:i]) at boundaries i = w..n-w."""
+def _mean_difference(samples: np.ndarray, window: int) -> np.ndarray:
+    """Statistic d[j] = mean(x[i:i+w]) - mean(x[i-w:i]) at boundaries i = w + j = w..n-w,
+    from slices of the cumulative sum, in the order (c[i+w] - 2 c[i]) + c[i-w]."""
+    n, w = samples.size, window
     c = np.concatenate([[0.0], np.cumsum(samples)])
-    i = np.arange(window, samples.size - window + 1)
-    d = (c[i + window] - 2.0 * c[i] + c[i - window]) / window
-    return i, d
+    d = c[2 * w:] - 2.0 * c[w:n - w + 1]
+    d += c[:n - 2 * w + 1]
+    d /= w
+    return d
 
 
 def detect_steps(trace: Trace, window: int = DEFAULT_WINDOW,
@@ -141,15 +144,15 @@ def detect_steps(trace: Trace, window: int = DEFAULT_WINDOW,
     if x.size < 2 * window:
         raise ValueError("trace must contain at least 2*window samples")
 
-    boundaries, d = _mean_difference(x, window)
+    d = _mean_difference(x, window)
     sigma = estimate_noise_sigma(x)
     se = sigma * math.sqrt(2.0 / window)
     floor = max(threshold * se, 1e-12)
 
     # local maxima of the statistic above the detection floor; ties keep
     # the earlier sample
-    j = np.arange(1, d.size - 1)
-    cand = j[(d[j] > d[j - 1]) & (d[j] >= d[j + 1]) & (d[j] > floor)]
+    mid = d[1:-1]
+    cand = np.flatnonzero((mid > d[:-2]) & (mid >= d[2:]) & (mid > floor)) + 1
 
     accepted: list[int] = []
     for c in cand:
@@ -161,7 +164,7 @@ def detect_steps(trace: Trace, window: int = DEFAULT_WINDOW,
 
     heights = d[accepted]
     conf = heights / se if se > 0 else np.full(heights.size, math.inf)
-    return np.column_stack([trace.times[boundaries[accepted]], heights, conf])
+    return np.column_stack([trace.times[window:][accepted], heights, conf])
 
 
 def interval_statistics(times, bin_width: float = 0.0):

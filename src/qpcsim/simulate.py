@@ -14,7 +14,8 @@ rows, `Trace.events`.  Trace files round-trip exactly (floats are written
 with shortest round-trip repr).  A table of at least _FLOAT_ROWS rows of
 float columns, such as a trace's samples, gets the same bytes from
 `_shortest`, which computes the digits of a whole column at once.  A trace
-is read a block of lines at a time, a block of data rows by one `np.loadtxt`.
+is read a block of lines at a time, cut at its section edges too, so that
+each block of data rows is one `np.loadtxt` call.
 """
 
 from __future__ import annotations
@@ -130,8 +131,11 @@ def simulate_exposure(device: DeviceParams, ensemble: TrapEnsemble,
     times = _sample_times(config)
     idx = np.searchsorted(event_times, times, side="right")
 
-    # piecewise-constant signal: evaluate G once per distinct shift level
-    g_levels = np.asarray(conductance(config.gate_bias + levels, device))
+    # piecewise-constant signal: evaluate G once per shift level that a sample reads
+    needed = np.zeros(levels.size, dtype=bool)
+    needed[idx] = True
+    g_levels = np.zeros(levels.size)
+    g_levels[needed] = conductance(config.gate_bias + levels[needed], device)
     baseline = g_levels[idx]
 
     samples = baseline
@@ -331,11 +335,26 @@ def trace_to_text(trace: Trace) -> str:
     return csv_text("qpcsim trace v1", header, *tables)
 
 
+def _line_end(text: str, key: str, start: int = 0) -> int:
+    """The index past the newline that ends the line of the first `key` from `start`, or 0."""
+    at = text.find(key, start)
+    return 0 if at < 0 else text.find("\n", at) + 1
+
+
 def _text_blocks(text: str):
-    """`text.splitlines()` as a list per block of _READ_CHARS characters cut after a newline."""
+    """`text.splitlines()` as a list per block of _READ_CHARS characters cut after a newline,
+    also cut after the first sample column line, before the events title and after the
+    events column line: then every block of a trace but the header and the title holds
+    data rows alone.  Any cut after a newline keeps the lines, so the edges need only be
+    right for well-formed text."""
+    events_title, events_columns = _EVENTS_TABLE
+    title = text.find("\n" + events_title) + 1
+    edges = (_line_end(text, "conductance_G0"),  # how both sample column lines end
+             title, title and _line_end(text, events_columns, title))
     start = 0
     while start < len(text):
         end = text.find("\n", start + _READ_CHARS) + 1 or len(text)
+        end = min([end] + [edge for edge in edges if edge > start])
         yield text[start:end].splitlines()
         start = end
 
@@ -343,8 +362,8 @@ def _text_blocks(text: str):
 def trace_from_text(text: str) -> Trace:
     """The trace `trace_to_text` wrote, read a block of lines at a time: a block of data
     rows and blank lines is one `np.loadtxt` call (the C parser `float` uses), any other
-    is read line by line, each data row by `float`, which also reads `1_0` and non-ASCII
-    digits and names the first bad line."""
+    (the header, the events title) is read line by line, each data row by `float`, which
+    also reads `1_0` and non-ASCII digits and names the first bad line."""
     header: dict = {}
     no_rows = np.empty((0, 2))
     parts = {"samples": [no_rows], "events": None}  # section -> its (n, 2) arrays of rows

@@ -10,8 +10,10 @@ throughout; one unit is ~1/12906 ohm.
 
 Every mode shares the tunnel width and kT, so the thermally averaged
 transmission is one function Phi(x) of x = E_F - subband bottom.  G and
-dG/dV sum Phi and Phi' a mode at a time, so no evaluation holds an array
-that grows with the mode count, from a table built once per device.
+dG/dV sum Phi and Phi' over the modes from a table built once per device,
+looking up as many modes at a time as fit in a fixed budget of (mode,
+point) pairs: a small call makes one lookup, and no evaluation holds an
+array that grows with the mode count.
 
 The shoulder below the first plateau is modeled phenomenologically by
 splitting the lowest mode into two weighted logistic components offset in
@@ -40,6 +42,9 @@ PINCH_MARGIN_MEV = 1.45
 # exp(-2pi^2 narrow / spacing) ~ 1e-17 for every device.
 QUAD_ORDER = 161
 _QUAD_BLOCK = 64  # points per quadrature block: (64, 161) temporaries, ~1 MiB per table build
+# (mode, point) pairs per table lookup: 64 KiB temporaries, under glibc's 128 KiB
+# mmap threshold, so a lookup reuses freed memory instead of mapping pages
+_PAIRS = 8192
 
 GATE_AXIS = "gate-voltage"
 TIME_AXIS = "exposure-time"
@@ -114,8 +119,9 @@ class DeviceParams:
             self.fermi_energy + PINCH_MARGIN_MEV - 0.5 * self.mode_spacing
         ) / self.lever_arm
 
-    def subband_bottom(self, mode_index: int, gate_voltage) -> np.ndarray | float:
-        """Energy (meV) of the bottom of subband `mode_index` at a gate voltage."""
+    def subband_bottom(self, mode_index, gate_voltage) -> np.ndarray | float:
+        """Energy (meV) of the bottom of subband `mode_index` at a gate voltage,
+        broadcast over an array of mode indices and one of gate voltages."""
         v = np.asarray(gate_voltage, dtype=float)
         return self.mode_spacing * (mode_index + 0.5) - self.lever_arm * (
             v - self.gate_offset_voltage
@@ -274,18 +280,28 @@ def _transmission_table(kt: float, tunnel_width: float):
 def _mode_sum(effective_gate_voltage, params: DeviceParams, phi):
     """Sum over modes of phi (the table's Phi or Phi') at x = E_F - subband bottom.
 
-    A mode at a time, so memory does not grow with num_modes.  With the
-    shoulder model, mode 0 mixes phi(x) and phi(x - anomaly_split).
+    With the shoulder model, mode 0 mixes phi(x) and phi(x - anomaly_split).
+    The x rows, in the order mode 0, shoulder, modes 1..n-1, go to phi as
+    many at a time as fit in _PAIRS (mode, point) pairs, at least one, so
+    memory does not grow with num_modes; they are summed left to right.
     """
     scalar_in = np.isscalar(effective_gate_voltage)
     v = np.atleast_1d(np.asarray(effective_gate_voltage, dtype=float))
-    x = params.fermi_energy - params.subband_bottom(0, v)
-    total = phi(x)
-    if params.anomaly_enabled:
-        total = (params.anomaly_weight * total
-                 + (1.0 - params.anomaly_weight) * phi(x - params.anomaly_split))
-    for n in range(1, params.num_modes):
-        total = total + phi(params.fermi_energy - params.subband_bottom(n, v))
+    anomaly = params.anomaly_enabled
+    modes = np.array([0] * (1 + anomaly) + list(range(1, params.num_modes)))
+    step = max(1, _PAIRS // max(v.size, 1))
+    for start in range(0, modes.size, step):
+        block = modes[start:start + step].reshape((-1,) + (1,) * v.ndim)
+        x = params.fermi_energy - params.subband_bottom(block, v)
+        if anomaly and start <= 1 < start + len(x):  # the shoulder row
+            x[1 - start] -= params.anomaly_split
+        for row, value in enumerate(phi(x), start):
+            if row == 0:
+                total = value
+            elif row == 1 and anomaly:
+                total = params.anomaly_weight * total + (1.0 - params.anomaly_weight) * value
+            else:
+                total = total + value
     return float(total[0]) if scalar_in else total
 
 

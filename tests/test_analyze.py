@@ -14,6 +14,7 @@ import qpcsim
 from qpcsim import analyze
 from qpcsim.analyze import (
     AnalysisConfig,
+    _mean_difference,
     _median,
     analyze_trace,
     correlate_heights,
@@ -129,6 +130,15 @@ _EDGE_VALUES = st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.0, 
 def test_median_equals_numpy_median_bit_for_bit(values):
     x = np.array(values)
     assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+
+
+@pytest.mark.parametrize("window", [2, 12, 100])
+def test_mean_difference_is_the_indexed_statistic_bit_for_bit(default_exposure, window):
+    x = default_exposure[0].conductance
+    c = np.concatenate([[0.0], np.cumsum(x)])
+    i = np.arange(window, x.size - window + 1)
+    want = (c[i + window] - 2.0 * c[i] + c[i - window]) / window
+    assert _mean_difference(x, window).tobytes() == want.tobytes()
 
 
 def test_analyze_leaves_numpy_ma_unloaded(tmp_path):

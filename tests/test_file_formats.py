@@ -6,6 +6,7 @@ a change to transport or analysis cannot move them, a change to a writer
 cannot pass them unnoticed.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -573,11 +574,7 @@ def long_trace_lines():
 
 def block_cuts(text):
     """Indices of the lines that start a block of `text`, after the first."""
-    cuts, start = [], 0
-    while (end := text.find("\n", start + simulate._READ_CHARS) + 1) and end < len(text):
-        cuts.append(text.count("\n", 0, end))
-        start = end
-    return cuts
+    return list(itertools.accumulate(map(len, simulate._text_blocks(text))))[:-1]
 
 
 def flat_blocks(text):
@@ -592,9 +589,10 @@ def test_block_reader_matches_line_wise_reader_at_block_edges(long_trace_lines, 
 
     The whole trace is read in blocks of the module's size.  The edits are
     read in blocks of 2,048 characters over the first 600 lines, which keeps
-    the texts short: the first block holds the header, the sweep's later
-    blocks hold samples alone, the exposure's second block holds the events
-    title and its later blocks events alone.
+    the texts short.  Besides the size cuts, the section cuts are edges: after
+    the sample column line, so the first block holds the header alone; and
+    in the exposure, before the events title and after the events column
+    line, so the title and column line are a block of their own.
     """
     text = ending.join(long_trace_lines[kind]) + ending
     assert len(block_cuts(text)) >= 16
@@ -604,6 +602,10 @@ def test_block_reader_matches_line_wise_reader_at_block_edges(long_trace_lines, 
     lines = long_trace_lines[kind][:600]
     cuts = block_cuts(ending.join(lines) + ending)
     assert len(cuts) >= 7
+    sections = [next(i for i, line in enumerate(lines) if line.endswith("_G0")) + 1]
+    if kind == "exposure":
+        sections += [lines.index("events"), lines.index("events") + 2]
+    assert set(sections) <= set(cuts)
     for edge in cuts:
         for at in (edge - 1, edge, edge + 1):
             for line in ODD_LINES:

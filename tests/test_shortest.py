@@ -124,3 +124,43 @@ def test_only_a_command_that_writes_a_long_float_table_imports_the_writer(tmp_pa
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False 0 True"  # 601 rows, then 1,321
+
+
+def three_decimals(m):
+    """The doubles nearest m / 10^3, as the exposure clock makes them."""
+    return np.asarray(m, dtype=np.float64) / 1e3
+
+
+def test_short_decimals_and_their_edges():
+    m = np.concatenate([[1, 999, 1000, 1001, 10 ** 15 - 1, 10 ** 15, 10 ** 15 + 1],
+                        np.random.default_rng(3).integers(1, 10 ** 15, 20_000)])
+    assert three_decimals([1, 10 ** 15 - 1]).tolist() == [0.001, 999_999_999_999.999]
+    assert_reprs(with_neighbours(three_decimals(m)))  # one ULP either side, and negated
+
+
+@pytest.mark.parametrize("first,rest", [("short", "long"), ("long", "short"), ("short", "mixed")])
+def test_blocks_that_start_with_one_kind_and_hold_another(first, rest):
+    rng = np.random.default_rng(11)
+    kinds = {"short": three_decimals(rng.integers(-10 ** 9, 10 ** 9, 3 * _shortest.BLOCK_ROWS))}
+    kinds["long"] = rng.normal(1.0, 0.005, kinds["short"].size)
+    kinds["mixed"] = np.where(rng.random(kinds["short"].size) < 0.5, kinds["short"], kinds["long"])
+    column = kinds[rest].copy()
+    column[::_shortest.BLOCK_ROWS] = kinds[first][0]  # the first value of every block
+    assert_reprs(column)
+
+
+def decimal_rows(monkeypatch, column):
+    """How many rows `_shortest._decimal` sees while `column` is written."""
+    seen = []
+    decimal = _shortest._decimal
+    monkeypatch.setattr(_shortest, "_decimal", lambda bits, t: seen.append(bits.size)
+                        or decimal(bits, t))
+    assert_reprs(column)
+    return sum(seen)
+
+
+def test_the_exposure_clock_skips_ryu_and_a_noisy_column_does_not(default_exposure,
+                                                                  monkeypatch):
+    trace, _ = default_exposure
+    assert decimal_rows(monkeypatch, trace.times) == 0
+    assert decimal_rows(monkeypatch, trace.conductance) == trace.conductance.size

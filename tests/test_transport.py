@@ -240,6 +240,52 @@ def test_table_build_memory_stays_small(peak_bytes, device):
     assert peak_bytes(build, device.thermal_energy, device.tunnel_width) < 1.5 * 2**20
 
 
+# ---------------------------------------------------------------------------
+# table lookups per call
+# ---------------------------------------------------------------------------
+
+def mode_at_a_time(v, params, phi):
+    """The mode sum with one table lookup per mode and one for the shoulder."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    x = params.fermi_energy - params.subband_bottom(0, v)
+    total = phi(x)
+    if params.anomaly_enabled:
+        total = (params.anomaly_weight * total
+                 + (1.0 - params.anomaly_weight) * phi(x - params.anomaly_split))
+    for n in range(1, params.num_modes):
+        total = total + phi(params.fermi_energy - params.subband_bottom(n, v))
+    return total
+
+
+@pytest.mark.parametrize("points,lookups", [(1, 1), (601, 1), (20_001, None)])
+def test_a_small_call_makes_one_table_lookup(device, monkeypatch, points, lookups):
+    v = np.linspace(-1.5, -1.2, points)
+    conductance(v, device)  # the table is cached per device: build it uncounted
+    sizes, lookup = [], transport._Hermite.__call__
+    monkeypatch.setattr(transport._Hermite, "__call__",
+                        lambda self, x: sizes.append(x.size) or lookup(self, x))
+    conductance(v, device)
+    transconductance(v, device)
+    lookups = lookups or device.num_modes + 1  # past the pair budget, one per row
+    assert len(sizes) == 2 * lookups
+    assert sum(sizes) == 2 * (device.num_modes + 1) * points
+
+
+@pytest.mark.parametrize("params", [DeviceParams(), DeviceParams(anomaly_enabled=False),
+                                    DeviceParams(num_modes=1), DeviceParams(num_modes=MAX_MODES),
+                                    DeviceParams(temperature=20.0, tunnel_width=0.1)],
+                         ids=["default", "no-shoulder", "one-mode", "most-modes", "hot"])
+def test_blocks_of_modes_match_the_mode_at_a_time_sum_bit_for_bit(params):
+    table = transport._transmission_table(params.thermal_energy, params.tunnel_width)
+    rng = np.random.default_rng(params.num_modes)
+    for n in (1, 2, 5, 40, 601, 1365, 1366, 4096, 4097, 20_001):
+        v = np.sort(rng.uniform(-1.7, 0.5, n))
+        v[:5] = [np.nan, 0.0, -0.0, np.inf, -np.inf][:n]
+        g, dg = conductance(v, params), transconductance(v, params)
+        assert g.tobytes() == mode_at_a_time(v, params, table[0]).tobytes(), n
+        assert dg.tobytes() == (params.lever_arm * mode_at_a_time(v, params, table[1])).tobytes(), n
+
+
 def test_shoulder_is_dgdv_minimum_in_conductance_window(device):
     curve = simulate_gate_sweep(device, -1.5, -1.2, 3001)
     dgdv = differential_conductance(curve)
