@@ -14,7 +14,9 @@ Short decimals skip Ryū: where |x| < 10^12 is m / 10^3 as a double for an
 integer m (every sample time of an exposure clock), m has at most 15 digits,
 and by DBL_DIG no other decimal of 15 digits or fewer reads back as x, so
 m without its trailing zeros is the shortest.  A block looks for them only
-when its first value is one, so a 17-digit column pays one scalar test.
+when its first and last values are short, so a 17-digit column pays two
+scalar tests, and takes them only when all its finite nonzero values are
+short; any other block goes through Ryū whole.
 
 Each element's text is built in four uint64 words, read as little-endian
 bytes and NUL-padded, and the NULs of a whole block of rows are dropped at
@@ -159,6 +161,12 @@ def _short(mag):
     return np.where(m / 1e3 == mag, m, 0.0).astype(np.uint64)
 
 
+def _ends_short(mag) -> bool:
+    """`_short`'s test on the first and last value of a block, in Python floats."""
+    ends = mag[0].item(), mag[-1].item()
+    return all(0.0 < v < 1e12 and round(v * 1e3) / 1e3 == v for v in ends)
+
+
 def fill(x: np.ndarray, out: np.ndarray, end: str) -> None:
     """Write `repr(float(v)) + end` of each element v of the float array `x` into
     the rows of the (len(x), WORDS) uint64 array `out`, as little-endian bytes
@@ -168,13 +176,10 @@ def fill(x: np.ndarray, out: np.ndarray, end: str) -> None:
     mag = np.abs(x)
     fast, zero = mag < _LIMIT, mag == 0.0
     ryu = fast & ~zero
-    if _short(mag[:1])[0]:  # the gate picks the path, never the digits
-        m = _short(mag)
+    m = _short(mag) if _ends_short(mag) else None  # the gates pick the path, never the digits
+    if m is not None and not (ryu & (m == 0)).any():  # every finite nonzero value is short
         tz = _trailing_zeros(np.maximum(m, _U(1)))
         digits, exponent = m // _POW10.take(tz), tz - 3
-        ryu &= m == 0
-        if ryu.any():
-            digits[ryu], exponent[ryu] = _decimal(mag[ryu].view(np.uint64), t)
     else:
         digits, exponent = _decimal(np.where(ryu, mag, 1.0).view(np.uint64), t)
     digits[zero] = 0

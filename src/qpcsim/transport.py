@@ -295,7 +295,8 @@ def _mode_sum(effective_gate_voltage, params: DeviceParams, phi):
         x = params.fermi_energy - params.subband_bottom(block, v)
         if anomaly and start <= 1 < start + len(x):  # the shoulder row
             x[1 - start] -= params.anomaly_split
-        for row, value in enumerate(phi(x), start):
+        # one row is looked up as a 1-D x, so one mode gives an array that owns its data
+        for row, value in enumerate(phi(x) if len(x) > 1 else [phi(x[0])], start):
             if row == 0:
                 total = value
             elif row == 1 and anomaly:

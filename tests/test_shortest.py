@@ -139,14 +139,16 @@ def test_short_decimals_and_their_edges():
 
 
 @pytest.mark.parametrize("first,rest", [("short", "long"), ("long", "short"), ("short", "mixed")])
-def test_blocks_that_start_with_one_kind_and_hold_another(first, rest):
+def test_blocks_that_start_with_one_kind_and_hold_another(first, rest, monkeypatch):
     rng = np.random.default_rng(11)
     kinds = {"short": three_decimals(rng.integers(-10 ** 9, 10 ** 9, 3 * _shortest.BLOCK_ROWS))}
     kinds["long"] = rng.normal(1.0, 0.005, kinds["short"].size)
     kinds["mixed"] = np.where(rng.random(kinds["short"].size) < 0.5, kinds["short"], kinds["long"])
     column = kinds[rest].copy()
-    column[::_shortest.BLOCK_ROWS] = kinds[first][0]  # the first value of every block
-    assert_reprs(column)
+    column[::_shortest.BLOCK_ROWS] = kinds[first][0]  # the first and last values of every block
+    column[_shortest.BLOCK_ROWS - 1::_shortest.BLOCK_ROWS] = kinds[first][1]
+    # every block holds a long value, so every block goes through Ryū whole
+    assert decimal_rows(monkeypatch, column) == column.size
 
 
 def decimal_rows(monkeypatch, column):

@@ -272,9 +272,12 @@ def test_a_small_call_makes_one_table_lookup(device, monkeypatch, points, lookup
 
 
 @pytest.mark.parametrize("params", [DeviceParams(), DeviceParams(anomaly_enabled=False),
-                                    DeviceParams(num_modes=1), DeviceParams(num_modes=MAX_MODES),
+                                    DeviceParams(num_modes=1),
+                                    DeviceParams(num_modes=1, anomaly_enabled=False),
+                                    DeviceParams(num_modes=MAX_MODES),
                                     DeviceParams(temperature=20.0, tunnel_width=0.1)],
-                         ids=["default", "no-shoulder", "one-mode", "most-modes", "hot"])
+                         ids=["default", "no-shoulder", "one-mode", "one-plain-mode",
+                              "most-modes", "hot"])
 def test_blocks_of_modes_match_the_mode_at_a_time_sum_bit_for_bit(params):
     table = transport._transmission_table(params.thermal_energy, params.tunnel_width)
     rng = np.random.default_rng(params.num_modes)
@@ -283,6 +286,7 @@ def test_blocks_of_modes_match_the_mode_at_a_time_sum_bit_for_bit(params):
         v[:5] = [np.nan, 0.0, -0.0, np.inf, -np.inf][:n]
         g, dg = conductance(v, params), transconductance(v, params)
         assert g.tobytes() == mode_at_a_time(v, params, table[0]).tobytes(), n
+        assert g.flags.owndata, n  # Trace copies an array that does not own its data
         assert dg.tobytes() == (params.lever_arm * mode_at_a_time(v, params, table[1])).tobytes(), n
 
 
