@@ -54,7 +54,8 @@ _MAD_TO_SIGMA = 0.6744897501960817  # Phi^-1(0.75): MAD -> sigma for a Gaussian
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """What counts as a step, and how its intervals are binned."""
+    """What counts as a step, and how its intervals are binned: the bounds that
+    `detect_steps` and `interval_statistics` check their arguments by, too."""
 
     window: int = DEFAULT_WINDOW          # detector window, samples
     threshold: float = DEFAULT_THRESHOLD  # detection threshold, noise SEs
@@ -64,9 +65,9 @@ class AnalysisConfig:
         require_finite(self)
         if self.window < 2:
             raise ValueError("window must be >= 2")
-        if self.threshold <= 0:
+        if not 0.0 < self.threshold < math.inf:  # a float32 NaN too, which require_finite skips
             raise ValueError(f"threshold must be finite and > 0, got {self.threshold!r}")
-        if self.bin_width < 0:
+        if not 0.0 <= self.bin_width < math.inf:
             raise ValueError(f"bin_width must be finite and >= 0, got {self.bin_width!r}")
 
 
@@ -136,10 +137,7 @@ def detect_steps(trace: Trace, window: int = DEFAULT_WINDOW,
     (time s, height G0 > 0, confidence in noise SEs) rows in time order."""
     if trace.axis_kind != TIME_AXIS:
         raise ValueError("step detection requires a time-axis exposure trace")
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    if not 0.0 < threshold < math.inf:
-        raise ValueError(f"threshold must be finite and > 0, got {threshold!r}")
+    AnalysisConfig(window, threshold)  # the bounds, checked where they are written
     x = trace.conductance
     if x.size < 2 * window:
         raise ValueError("trace must contain at least 2*window samples")
@@ -177,8 +175,7 @@ def interval_statistics(times, bin_width: float = 0.0):
     (fit, (bin starts, counts summing to len(times) - 1)), or (None, ())
     below three events.
     """
-    if not 0.0 <= bin_width < math.inf:
-        raise ValueError(f"bin_width must be finite and >= 0, got {bin_width!r}")
+    AnalysisConfig(bin_width=bin_width)  # the bound, checked where it is written
     if len(times) < 3:
         return None, ()
     intervals = np.diff(times)

@@ -138,12 +138,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def _read_config(path) -> str:
     """The config file's text, or no text (every default) without a file."""
-    if path is None:
-        return ""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return "" if path is None else Path(path).read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

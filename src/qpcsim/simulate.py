@@ -73,6 +73,10 @@ class ExposureConfig:
 def poisson_event_times(rate: float, duration: float,
                         rng: np.random.Generator) -> np.ndarray:
     """Arrival times of a homogeneous Poisson process on (0, duration]."""
+    for name, value in (("rate", rate), ("duration", duration),
+                        ("rate * duration", rate * duration)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if rate < 0 or duration < 0:
         raise ValueError("rate and duration must be >= 0")
     if rate == 0 or duration == 0:
@@ -260,10 +264,9 @@ def csv_text(title: str, header: dict, *tables) -> str:
     """File text: '# title', '# key=value' per header item, then the tables.
 
     Each table is (title line or None, column line, columns): equal-length
-    columns, written _WRITE_ROWS rows at a time.  A float ndarray column is
-    written as `repr` of its Python floats, the bytes `fmt` gives; every other
-    field goes through `fmt`.  A table of at least _FLOAT_ROWS rows whose
-    columns are all float ndarrays is written by `_shortest.rows_text`
+    columns, written _WRITE_ROWS rows at a time, each field by `fmt` (an ndarray
+    column through its Python values).  A table of at least _FLOAT_ROWS rows
+    whose columns are all float ndarrays is written by `_shortest.rows_text`
     instead, with the same bytes.  Unequal lengths raise ValueError first.
     """
     parts = [f"# {title}\n"] + [f"# {key}={fmt(value)}\n" for key, value in header.items()]
@@ -286,9 +289,8 @@ def csv_text(title: str, header: dict, *tables) -> str:
             n = min(_WRITE_ROWS, rows - start)
             fields = ([","] * (width - 1) + ["\n"]) * n
             for j, col in enumerate(c[start:start + n] for c in columns):
-                float_array = isinstance(col, np.ndarray) and col.dtype.kind == "f"
-                fields[2 * j::width] = (map(repr, col.astype(float, copy=False).tolist())
-                                       if float_array else map(fmt, col))
+                fields[2 * j::width] = map(fmt, col.tolist() if isinstance(col, np.ndarray)
+                                           else col)
             parts.append("".join(fields))
     return "".join(parts)
 

@@ -150,6 +150,9 @@ class Trace:
     log `events`: (time s, coupling V) rows in capture order, a (k, 2) float
     array with finite, non-decreasing times, built from any such rows
     (`TruthEvent`s too); `truth_events` gives a new list of them per read.
+    Its arrays are read-only: an owned float64 ndarray is taken in place (a
+    view of it made before stays writable, past the checks), anything else is
+    copied.
     """
 
     axis_kind: str                     # GATE_AXIS or TIME_AXIS

@@ -477,6 +477,20 @@ def test_histogram_rejects_bin_width_outside_zero_to_inf(bad):
         interval_statistics(np.array([0.0, 1.0]), bad)
 
 
+@pytest.mark.parametrize("bad", [np.float32(math.nan), np.float32(math.inf)])
+def test_config_and_functions_share_one_bound_for_numbers_that_are_not_floats(bad):
+    # a numpy float32 is no Python float, so only the bound itself can catch it
+    trace = staircase_trace([300.0], [0.5], sigma=0.01)
+    for check in (lambda: AnalysisConfig(threshold=bad),
+                  lambda: detect_steps(trace, window=12, threshold=bad)):
+        with pytest.raises(ValueError, match="^threshold must be finite and > 0"):
+            check()
+    for check in (lambda: AnalysisConfig(bin_width=bad),
+                  lambda: interval_statistics(np.array([0.0, 1.0]), bad)):
+        with pytest.raises(ValueError, match="^bin_width must be finite and >= 0"):
+            check()
+
+
 def test_histogram_rejects_a_bin_width_needing_over_max_samples_bins(monkeypatch):
     # a 1e-9 s bin on a default run's intervals asked np.bincount for TiB of counts
     times = np.array([0.0, 1.0, 3.0])  # longest interval 2 s

@@ -8,6 +8,7 @@ from qpcsim.charge import PhotonSource, TrapConfig
 from qpcsim.cli import (
     ConfigError,
     RunConfig,
+    _atomic_write,
     main,
     parse_config,
     serialize_config,
@@ -179,6 +180,22 @@ def test_sweep_unwritable_path_exits_3(tmp_path):
     blocker.write_text("a file, not a directory")
     code = main(["sweep", "--out", str(blocker / "sub")])
     assert code == 3
+
+
+def test_a_failed_write_leaves_no_temp_file_and_the_old_target(tmp_path):
+    target = tmp_path / "report.txt"
+    target.write_bytes(b"old bytes\n")
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(target, "a lone surrogate: \ud800")  # not encodable as UTF-8
+    assert os.listdir(tmp_path) == ["report.txt"]
+    assert target.read_bytes() == b"old bytes\n"
+
+
+def test_sweep_with_a_missing_config_file_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("qpcsim: i/o error: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -80,6 +81,19 @@ def test_poisson_event_times_match_the_masked_reference(rate, duration, seed):
     times = poisson_event_times(rate, duration, rng)
     assert times.tobytes() == masked_event_times(rate, duration, ref_rng).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rate,duration,name", [
+    (math.nan, 10.0, "rate"), (math.inf, 10.0, "rate"), (-math.inf, 10.0, "rate"),
+    (1.0, math.nan, "duration"), (1.0, math.inf, "duration"), (0.0, math.inf, "duration"),
+    (1e200, 1e200, "rate * duration"), (-1e200, 1e200, "rate * duration"),
+])
+def test_poisson_event_times_rejects_non_finite_inputs_before_any_draw(rate, duration, name):
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be finite, got ")):
+        poisson_event_times(rate, duration, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_event_count_at_18s_mean_interval(device):
@@ -536,6 +550,31 @@ def test_exposure_config_validation():
         ExposureConfig(sample_interval=0.0)
     with pytest.raises(ValueError):
         ExposureConfig(noise_sigma=-1.0)
+
+
+def _time_trace():
+    return Trace(TIME_AXIS, np.arange(3.0), np.ones(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrapConfig(buffer_trap_count=-1), "buffer_trap_count must be >= 0"),
+    (lambda: TrapConfig(buffer_coupling_scale=0.0), "buffer_coupling_scale must be > 0"),
+    (lambda: TrapConfig(buffer_coupling_scale=-1e-5), "buffer_coupling_scale must be > 0"),
+    (lambda: PhotonSource(incident_rate=-0.1), "incident_rate must be >= 0"),
+    (lambda: ExposureConfig(dark_lead=-1.0), "dark_lead must be >= 0"),
+    (lambda: DeviceParams(tunnel_width=0.0), "tunnel_width must be > 0"),
+    (lambda: DeviceParams(tunnel_width=-0.5), "tunnel_width must be > 0"),
+    (lambda: Trace(GATE_AXIS, np.arange(3.0), np.ones(2)),
+     "times and conductance must have the same length"),
+    (lambda: transport.differential_conductance(_time_trace()),
+     "differential conductance requires a gate-voltage curve"),
+    (lambda: exposure_to_gate_equivalence(
+        Trace(GATE_AXIS, np.arange(3.0), np.ones(3), [(1.0, 1e-3)], {"gate_bias": -1.5})),
+     "only time-axis exposure traces can be remapped"),
+])
+def test_out_of_range_settings_and_wrong_traces_are_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
 
 
 @pytest.mark.parametrize("cls", [DeviceParams, TrapConfig, PhotonSource, ExposureConfig,
