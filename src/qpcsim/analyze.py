@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .simulate import csv_text, device_from_config
-from .transport import (MAX_SAMPLES, TIME_AXIS, DeviceParams, Trace, conductance,
-                        require_finite, transconductance)
+from .transport import (MAX_SAMPLES, TIME_AXIS, DeviceParams, NonNegative, Positive, Trace,
+                        Window, check_fields, conductance, transconductance)
 
 DEFAULT_WINDOW = 12
 DEFAULT_THRESHOLD = 4.0
@@ -57,18 +57,12 @@ class AnalysisConfig:
     """What counts as a step, and how its intervals are binned: the bounds that
     `detect_steps` and `interval_statistics` check their arguments by, too."""
 
-    window: int = DEFAULT_WINDOW          # detector window, samples
-    threshold: float = DEFAULT_THRESHOLD  # detection threshold, noise SEs
-    bin_width: float = 0.0                # histogram bin, s; 0 = fitted mean interval / 3
+    window: Window = DEFAULT_WINDOW           # detector window, samples
+    threshold: Positive = DEFAULT_THRESHOLD   # detection threshold, noise SEs
+    bin_width: NonNegative = 0.0              # histogram bin, s; 0 = fitted mean interval / 3
 
     def __post_init__(self):
-        require_finite(self)
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if not 0.0 < self.threshold < math.inf:  # a float32 NaN too, which require_finite skips
-            raise ValueError(f"threshold must be finite and > 0, got {self.threshold!r}")
-        if not 0.0 <= self.bin_width < math.inf:
-            raise ValueError(f"bin_width must be finite and >= 0, got {self.bin_width!r}")
+        check_fields(self)
 
 
 class IntervalFit(NamedTuple):

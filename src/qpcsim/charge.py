@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transport import MAX_SAMPLES, require_finite
+from .transport import MAX_SAMPLES, Count, Fraction, NonNegative, Positive, check_fields, typed
 
 # Wavelength (nm) below which photons are absorbed in the doped barrier
 # layer (gap ~1.9 eV) and can reach the dopant traps.
@@ -60,23 +60,17 @@ class TrapConfig:
 
     carrier_density: float = 3.3e11          # cm^-2
     active_area: float = 3e-10               # cm^2
-    saturation_gate_shift: float = 0.2       # V, total shift when all dopant traps fill
-    buffer_trap_count: int = 2000
-    buffer_coupling_scale: float = 1e-5      # V, upper bound of buffer couplings
+    saturation_gate_shift: Positive = 0.2    # V, total shift when all dopant traps fill
+    buffer_trap_count: Count = 2000
+    buffer_coupling_scale: Positive = 1e-5   # V, upper bound of buffer couplings
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if not math.isfinite(self.carrier_density * self.active_area):
             raise ValueError("carrier_density * active_area must be finite, got "
                              f"{self.carrier_density!r} * {self.active_area!r}")
         if self.dopant_trap_count <= 0:
-            raise ValueError("dopant trap count must be > 0")
-        if self.saturation_gate_shift <= 0:
-            raise ValueError("saturation_gate_shift must be > 0")
-        if self.buffer_trap_count < 0:
-            raise ValueError("buffer_trap_count must be >= 0")
-        if self.buffer_coupling_scale <= 0:
-            raise ValueError("buffer_coupling_scale must be > 0")
+            raise ValueError(f"dopant trap count must be > 0, got {self.dopant_trap_count}")
 
     @property
     def dopant_trap_count(self) -> int:
@@ -90,18 +84,12 @@ class TrapConfig:
 
 @dataclass(frozen=True)
 class PhotonSource:
-    wavelength: float = 550.0        # nm
-    incident_rate: float = 0.1       # photons/s on the active area
-    quantum_efficiency: float = 0.3
+    wavelength: Positive = 550.0         # nm
+    incident_rate: NonNegative = 0.1     # photons/s on the active area
+    quantum_efficiency: Fraction = 0.3
 
     def __post_init__(self):
-        require_finite(self)
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be > 0")
-        if self.incident_rate < 0:
-            raise ValueError("incident_rate must be >= 0")
-        if not 0.0 <= self.quantum_efficiency <= 1.0:
-            raise ValueError("quantum_efficiency must be in [0, 1]")
+        check_fields(self)
 
     @property
     def detected_rate(self) -> float:
@@ -123,6 +111,7 @@ class TrapEnsemble:
 
     def __post_init__(self):
         self.couplings = np.asarray(self.couplings, dtype=float)
+        self.dopant_count = typed("dopant_count", self.dopant_count, int)
         if self.couplings.ndim != 1:
             raise ValueError("couplings must be a 1-d array")
         if not np.all(np.isfinite(self.couplings) & (self.couplings > 0)):
@@ -215,8 +204,8 @@ def capture_photons(ensemble: TrapEnsemble, layer: str, rng: np.random.Generator
     pick from the free list; the calls pick the same traps, and leave `rng`
     in the same state, as calls that each rescan the ensemble and draw.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    if typed("count", count, int) < 0:
+        raise ValueError(f"count must be >= 0, got {count!r}")
     free = free_traps(ensemble, layer)
     picks = rng.integers(0, np.arange(len(free), max(len(free) - count, 0), -1))
     return [capture_photon(ensemble, layer, rng, free, pick) for pick in picks.tolist()]

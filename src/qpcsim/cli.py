@@ -10,7 +10,9 @@ files; output files are written atomically (temp file + rename).  A flag
 that sets a config value (--seed, --wavelength, --duration, the --noise of
 expose and reproduce-figures, --window, --threshold, --bin-width) is read
 as one more key=value line after the config file's text.  Every value is
-read by the rule trace headers use, `simulate.typed` over `_parse_value`.
+read by the rule trace headers use, `transport.typed` over `_parse_value`,
+and each section is then checked by its class, every field by
+`transport.check_fields`.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 I/O error.
 """
@@ -39,7 +41,6 @@ from .simulate import (
     simulate_exposure,
     simulate_gate_sweep,
     trace_to_text,
-    typed,
 )
 from .transport import (
     GATE_AXIS,
@@ -47,6 +48,7 @@ from .transport import (
     Trace,
     differential_conductance,
     transconductance,
+    typed,
 )
 
 EXIT_OK = 0

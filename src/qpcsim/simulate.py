@@ -40,45 +40,46 @@ from .transport import (
     MAX_SAMPLES,
     TIME_AXIS,
     DeviceParams,
+    NonNegative,
+    Positive,
     Trace,
+    check_fields,
     conductance,
-    require_finite,
+    typed,
 )
 
 
 @dataclass(frozen=True)
 class ExposureConfig:
-    duration: float = 5400.0        # s of illumination (t = 0 .. duration)
-    sample_interval: float = 0.5    # s between conductance samples
-    dark_lead: float = 60.0         # s of dark sampling before t = 0
-    gate_bias: float = -1.5         # V, fixed gate during the exposure
-    noise_sigma: float = 0.005      # conductance noise, units of 2e^2/h
+    duration: Positive = 5400.0         # s of illumination (t = 0 .. duration)
+    sample_interval: Positive = 0.5     # s between conductance samples
+    dark_lead: NonNegative = 60.0       # s of dark sampling before t = 0
+    gate_bias: float = -1.5             # V, fixed gate during the exposure
+    noise_sigma: NonNegative = 0.005    # conductance noise, units of 2e^2/h
     seed: int = 1
 
     def __post_init__(self):
-        require_finite(self)
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be > 0")
-        if self.dark_lead < 0:
-            raise ValueError("dark_lead must be >= 0")
+        check_fields(self)
         if _sample_steps(self) >= MAX_SAMPLES:  # `_sample_times` makes floor(steps) + 1
             raise ValueError("floor((dark_lead + duration) / sample_interval) + 1 samples "
                              f"must be <= {MAX_SAMPLES}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
 
 
 def poisson_event_times(rate: float, duration: float,
                         rng: np.random.Generator) -> np.ndarray:
-    """Arrival times of a homogeneous Poisson process on (0, duration]."""
+    """Arrival times of a homogeneous Poisson process on (0, duration].
+
+    Over `MAX_SAMPLES` expected events (`rate * duration`) is a ValueError,
+    before any draw."""
     for name, value in (("rate", rate), ("duration", duration),
                         ("rate * duration", rate * duration)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if rate < 0 or duration < 0:
         raise ValueError("rate and duration must be >= 0")
+    if rate * duration > MAX_SAMPLES:
+        raise ValueError(f"rate * duration must be <= {MAX_SAMPLES} expected events, "
+                         f"got {rate * duration!r}")
     if rate == 0 or duration == 0:
         return np.empty(0)
     times = []
@@ -180,7 +181,7 @@ def simulate_gate_sweep(device: DeviceParams, v_start: float, v_end: float,
             raise ValueError(f"{name} must be finite, got {value!r}")
     if not v_start < v_end:
         raise ValueError("v_start must be < v_end")
-    if not 2 <= n_points <= MAX_SAMPLES:
+    if not 2 <= typed("n_points", n_points, int) <= MAX_SAMPLES:
         raise ValueError(f"n_points must be in [2, {MAX_SAMPLES}], got {n_points}")
     if not 0.0 <= noise_sigma < math.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
@@ -308,22 +309,6 @@ def _parse_value(text: str):
         return float(text)
     except ValueError:
         return text
-
-
-_ACCEPTED = {bool: bool, int: int, float: (int, float)}
-
-
-def typed(key: str, value, typ):
-    """`value` as a field of type `typ`: a bool only for bool, a non-bool int
-    for int, an int or a float for float.  Anything else (or an int past the
-    float range) raises ValueError naming `key`.
-    """
-    if isinstance(value, bool) == (typ is bool) and isinstance(value, _ACCEPTED[typ]):
-        try:
-            return typ(value)
-        except OverflowError:
-            pass
-    raise ValueError(f"{key} must be {typ.__name__}, got {value!r}")
 
 
 def trace_to_text(trace: Trace) -> str:

@@ -23,9 +23,9 @@ energy; no microscopic spin-interaction physics is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Annotated, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -59,12 +59,51 @@ MAX_SAMPLES = 10_000_000
 MAX_MODES = 64
 
 
-def require_finite(config) -> None:
-    """Reject NaN or inf in any float field of a config dataclass, by name."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+_ACCEPTED = {bool: (bool, np.bool_), int: (int, np.integer),
+             float: (int, float, np.integer, np.floating)}
+
+
+def typed(key: str, value, typ):
+    """`value` as a field of type `typ`: a bool only for bool, a non-bool int
+    for int, an int or a float for float, numpy scalars of those kinds too.
+    Anything else (or an int past the float range) raises ValueError naming `key`.
+    """
+    if isinstance(value, (bool, np.bool_)) == (typ is bool) and isinstance(value, _ACCEPTED[typ]):
+        try:
+            return typ(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{key} must be {typ.__name__}, got {value!r}")
+
+
+# A config field's bound, declared in its annotation: (text, test) after the type.
+Positive = Annotated[float, "> 0", lambda x: x > 0]
+NonNegative = Annotated[float, ">= 0", lambda x: x >= 0]
+Fraction = Annotated[float, "in [0, 1]", lambda x: 0 <= x <= 1]
+Count = Annotated[int, ">= 0", lambda n: n >= 0]
+ModeCount = Annotated[int, f"in [1, {MAX_MODES}]", lambda n: 1 <= n <= MAX_MODES]
+Window = Annotated[int, ">= 2", lambda n: n >= 2]
+
+
+@lru_cache(maxsize=None)
+def _field_rules(cls) -> tuple:
+    """(name, type, bound text, bound test) per field of a config class, read once;
+    a field without a bound has None for both."""
+    return tuple((name, *(get_args(hint) or (hint, None, None)))
+                 for name, hint in get_type_hints(cls, include_extras=True).items())
+
+
+def check_fields(config) -> None:
+    """Check each field of a config dataclass by its declared type (`typed`),
+    a float for finiteness, then by the bound its annotation declares.  The
+    ValueError names the field and the value."""
+    for name, typ, text, test in _field_rules(type(config)):
+        value = getattr(config, name)
+        number = value if type(value) is typ else typed(name, value, typ)
+        if typ is float and not math.isfinite(number):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if test and not test(number):
+            raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,31 +116,20 @@ class DeviceParams:
     """
 
     fermi_energy: float = 1.8        # meV
-    temperature: float = 4.2         # K
-    mode_spacing: float = 8.0        # meV, transverse subband spacing
-    tunnel_width: float = 0.5        # meV, saddle energy scale (step sharpness)
-    lever_arm: float = 64.0          # meV of subband shift per volt of gate
+    temperature: Positive = 4.2      # K
+    mode_spacing: Positive = 8.0     # meV, transverse subband spacing
+    tunnel_width: Positive = 0.5     # meV, saddle energy scale (step sharpness)
+    lever_arm: Positive = 64.0       # meV of subband shift per volt of gate: G rises with V
     threshold_voltage: float = -1.5  # V, channel-opening threshold
-    num_modes: int = 5               # subbands in the conductance sum
+    num_modes: ModeCount = 5         # subbands in the conductance sum
     anomaly_enabled: bool = True
     anomaly_weight: float = 0.7      # weight of the early sub-step of mode 0
     anomaly_split: float = 2.4       # meV between the two mode-0 components
 
     def __post_init__(self):
-        require_finite(self)
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if self.mode_spacing <= 0:
-            raise ValueError("mode_spacing must be > 0")
-        if self.tunnel_width <= 0:
-            raise ValueError("tunnel_width must be > 0")
-        # G must rise monotonically with V for analyze to invert it
-        if self.lever_arm <= 0:
-            raise ValueError("lever_arm must be > 0")
-        if not 1 <= self.num_modes <= MAX_MODES:
-            raise ValueError(f"num_modes must be in [1, {MAX_MODES}], got {self.num_modes}")
+        check_fields(self)
         if self.anomaly_enabled and not 0.0 < self.anomaly_weight < 1.0:
-            raise ValueError("anomaly_weight must be in (0, 1)")
+            raise ValueError(f"anomaly_weight must be in (0, 1), got {self.anomaly_weight!r}")
 
     @property
     def thermal_energy(self) -> float:

@@ -321,6 +321,20 @@ def test_ensemble_validates_its_arrays():
         assert ensemble.dopant_couplings().tolist() == [1e-3, 2e-3][:dopant_count]
 
 
+def test_counts_must_be_ints():
+    # 2.5 dopant traps passed the range check, and a count of 2.5 filled 3 traps
+    with pytest.raises(ValueError, match="^dopant_count must be int, got 2.5$"):
+        TrapEnsemble(np.ones(5), 2.5)
+    assert TrapEnsemble(np.ones(5), np.int64(2)).dopant_couplings().tolist() == [1.0, 1.0]
+    ensemble = TrapEnsemble(np.ones(5), 5)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"^count must be int, got {bad!r}$"):
+            capture_photons(ensemble, LAYER_BARRIER, rng, bad)
+    assert ensemble.captured == [] and rng.bit_generator.state == state
+
+
 def test_overflowing_dopant_count_names_both_fields():
     with pytest.raises(ValueError, match="carrier_density \\* active_area"):
         TrapConfig(carrier_density=1e300, active_area=1e10)

@@ -1,11 +1,14 @@
 import os
+import re
 import stat
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from qpcsim.charge import PhotonSource, TrapConfig
 from qpcsim.cli import (
+    _SECTIONS,
     ConfigError,
     RunConfig,
     _atomic_write,
@@ -85,6 +88,54 @@ def test_serialized_config_lists_every_setting():
         "exposure.duration", "exposure.sample_interval", "exposure.dark_lead",
         "exposure.gate_bias", "exposure.noise_sigma",
     ]
+
+
+# every bound a config field has, with a value that breaks it
+_BOUNDS = {
+    "window": (1, ">= 2"), "threshold": (0.0, "> 0"), "bin_width": (-1.0, ">= 0"),
+    "temperature": (0.0, "> 0"), "mode_spacing": (-8.0, "> 0"), "tunnel_width": (0.0, "> 0"),
+    "lever_arm": (-64.0, "> 0"), "num_modes": (0, "in [1, 64]"),
+    "anomaly_weight": (1.0, "in (0, 1)"),  # with the shoulder on, the default
+    "saturation_gate_shift": (0.0, "> 0"), "buffer_trap_count": (-1, ">= 0"),
+    "buffer_coupling_scale": (-1e-5, "> 0"),
+    "wavelength": (0.0, "> 0"), "incident_rate": (-0.1, ">= 0"),
+    "quantum_efficiency": (1.5, "in [0, 1]"),
+    "duration": (0.0, "> 0"), "sample_interval": (-0.5, "> 0"), "dark_lead": (-1.0, ">= 0"),
+    "noise_sigma": (-0.005, ">= 0"),
+}
+
+
+def _rejects(build, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("section", list(_SECTIONS))
+def test_every_config_field_is_checked_by_type_finiteness_and_bound(section):
+    cls = _SECTIONS[section]
+    defaults = {f.name: f.default for f in fields(cls)}
+    kinds = {kind: [name for name, value in defaults.items() if type(value) is kind]
+             for kind in (float, int, bool)}
+    assert kinds[float] and len(defaults) == sum(map(len, kinds.values()))
+    for name in kinds[float]:
+        for bad in (np.float32("nan"), np.float32("inf")):
+            _rejects(lambda: cls(**{name: bad}), f"{name} must be finite, got {bad!r}")
+        _rejects(lambda: cls(**{name: "4.2"}), f"{name} must be float, got '4.2'")
+    for name in kinds[int]:
+        for bad in (2.5, True):
+            _rejects(lambda: cls(**{name: bad}), f"{name} must be int, got {bad!r}")
+    for name in kinds[bool]:
+        for bad in (1, "no"):
+            _rejects(lambda: cls(**{name: bad}), f"{name} must be bool, got {bad!r}")
+    for name in defaults.keys() & _BOUNDS.keys():
+        bad, bound = _BOUNDS[name]
+        with pytest.raises(ValueError) as exc:
+            cls(**{name: bad})
+        assert str(exc.value) == f"{name} must be {bound}, got {bad!r}"
+    # numpy scalars of the field's kind are numbers like any other
+    numpy = {name: np.float64(defaults[name]) for name in kinds[float]}
+    numpy.update((name, np.int64(defaults[name])) for name in kinds[int])
+    assert cls(**numpy) == cls()
 
 
 @pytest.mark.parametrize("line", ["traps.coupling_distribution=constant",

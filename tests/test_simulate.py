@@ -96,6 +96,25 @@ def test_poisson_event_times_rejects_non_finite_inputs_before_any_draw(rate, dur
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("rate,duration", [(1e308, 1.5), (1e6, 1e6)])
+def test_poisson_event_times_caps_the_expected_count_before_any_draw(rate, duration):
+    # 1.25 x 1.5e308 events overflowed `int`, and 10^12 asked numpy for 9.09 TiB
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(
+            f"rate * duration must be <= {MAX_SAMPLES} expected events, got ")):
+        poisson_event_times(rate, duration, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_poisson_event_times_takes_the_cap_itself(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_SAMPLES", 100)
+    rng = np.random.default_rng(7)
+    assert poisson_event_times(10.0, 10.0, rng).size > 0
+    with pytest.raises(ValueError, match=r"^rate \* duration must be <= 100 expected events"):
+        poisson_event_times(10.0, 10.5, rng)
+
+
 def test_event_count_at_18s_mean_interval(device):
     # 1800 s at one event per 18 s: about one hundred events
     source = PhotonSource(wavelength=550.0, incident_rate=1.0 / 18.0,

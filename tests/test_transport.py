@@ -174,6 +174,15 @@ def test_sweep_length_is_capped_before_allocating(device):
         simulate_gate_sweep(device, -1.5, -1.3, 10**11)
 
 
+def test_sweep_length_must_be_an_int(device):
+    # 2.5 points made the grid [-1.5, -1.3, -1.2] and recorded n_points=2.5
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"^n_points must be int, got {bad!r}$"):
+            simulate_gate_sweep(device, -1.5, -1.2, bad)
+    assert simulate_gate_sweep(device, -1.5, -1.2, np.int64(3)).times.tolist() == [
+        -1.5, -1.35, -1.2]
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @example(start=0.0, stop=1e-322, n=100)         # the step underflows to 0
 @example(start=-1e-320, stop=1e-320, n=10**4)   # and again, from subnormal ends
