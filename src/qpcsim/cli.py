@@ -23,7 +23,6 @@ import argparse
 import hashlib
 import os
 import sys
-import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -47,6 +46,7 @@ from .transport import (
     DeviceParams,
     Trace,
     differential_conductance,
+    field_rules,
     transconductance,
     typed,
 )
@@ -98,7 +98,7 @@ _HIDDEN = {("exposure", "seed")}
 def parse_config(text: str) -> RunConfig:
     section_values: dict[str, dict] = {name: {} for name in _SECTIONS}
     seed = 1
-    hints = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
+    hints = {p: {name: typ for name, typ, *_ in field_rules(cls)} for p, cls in _SECTIONS.items()}
 
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):

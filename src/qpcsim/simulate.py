@@ -21,7 +21,6 @@ each block of data rows is one `np.loadtxt` call.
 from __future__ import annotations
 
 import math
-import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -45,6 +44,7 @@ from .transport import (
     Trace,
     check_fields,
     conductance,
+    field_rules,
     typed,
 )
 
@@ -228,7 +228,7 @@ def _device_snapshot(device: DeviceParams) -> dict:
 def device_from_config(config: dict) -> DeviceParams:
     """Rebuild DeviceParams from a trace-header snapshot, each value by `typed`."""
     return DeviceParams(**{name: typed(f"device_{name}", config[f"device_{name}"], typ)
-                           for name, typ in typing.get_type_hints(DeviceParams).items()})
+                           for name, typ, *_ in field_rules(DeviceParams)})
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,9 @@ Window = Annotated[int, ">= 2", lambda n: n >= 2]
 
 
 @lru_cache(maxsize=None)
-def _field_rules(cls) -> tuple:
-    """(name, type, bound text, bound test) per field of a config class, read once;
-    a field without a bound has None for both."""
+def field_rules(cls) -> tuple:
+    """(name, type, bound text, bound test) per field of a config class, read once
+    (the one reader of declared types); a field without a bound has None for both."""
     return tuple((name, *(get_args(hint) or (hint, None, None)))
                  for name, hint in get_type_hints(cls, include_extras=True).items())
 
@@ -97,9 +97,9 @@ def check_fields(config) -> None:
     """Check each field of a config dataclass by its declared type (`typed`),
     a float for finiteness, then by the bound its annotation declares.  The
     ValueError names the field and the value."""
-    for name, typ, text, test in _field_rules(type(config)):
+    for name, typ, text, test in field_rules(type(config)):
         value = getattr(config, name)
-        number = value if type(value) is typ else typed(name, value, typ)
+        number = typed(name, value, typ)
         if typ is float and not math.isfinite(number):
             raise ValueError(f"{name} must be finite, got {value!r}")
         if test and not test(number):
